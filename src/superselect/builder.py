@@ -1,14 +1,27 @@
 """Constructs complete orthonormal charge-sector bases of packaged entangled states.
 
-Strategy: start from the deterministic product-state sector basis, seed with
-paired combinations (b1 +- b2)/sqrt(2), orthonormalize, then walk the vectors
-in order and repair any that fail the every-cut entanglement predicate by
-plane rotations against partner vectors. Rotations within an orthonormal set
-preserve orthonormality and span exactly, so only the predicate needs
-rechecking after each repair.
+The build has four steps:
 
-Sectors where no entangled vector can exist (dimension 1, or single-register
-states) come back flagged degenerate instead of erroring.
+1. Seed. Pair product basis state b_k with its mirror b_{d-1-k} in the
+   deterministic sector order, as (b_k +- b_{d-1-k})/sqrt(2); for odd d the
+   middle state stays alone. In canonical order the mirror of a state is
+   often its register-wise complement, and two product states that differ at
+   every register are entangled on every cut. The seeds are orthonormal by
+   construction.
+2. Check each seed column against the every-cut entanglement predicate.
+3. Mix. Widen the failing columns by whole passing seed pairs, lowest index
+   first, until their support passes the structural test of
+   ``_admits_entangled``, then multiply them by one seeded Haar-random
+   unitary (F. Mezzadri, "How to generate random matrices from the classical
+   compact groups", Notices AMS 54 (2007) 592). Mixing inside an orthonormal
+   set keeps orthonormality and span exactly, so only the mixed columns are
+   rechecked; a failed mix is redrawn up to ``max_repair_attempts`` times.
+4. Record one diagnostics entry per vector, listing every mix it took part in.
+
+A whole sector is closed under register permutation, so it fails the
+structural test exactly when it has dimension 1 or single-register states.
+It then holds no entangled vector and comes back flagged degenerate with its
+seed vectors, instead of erroring.
 """
 
 from __future__ import annotations
@@ -21,21 +34,19 @@ import numpy as np
 from .charges import SpeciesRegistry
 from .entangle import is_packaged_entangled
 from .errors import ConfigurationError, DomainError, SimulatorError
-from .fock import SectorIndex, sector_basis
+from .fock import BasisState, SectorIndex, sector_basis
 from .states import StateVector, coordinates, from_coordinates
 
+ORTHO_TOL = 1e-9
 SPAN_TOL = 1e-8
 
 
 @dataclass
 class BuilderConfig:
-    ortho_tolerance: float = 1e-9
     max_repair_attempts: int = 64
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.ortho_tolerance <= 0:
-            raise ConfigurationError("ortho_tolerance must be positive")
         if self.max_repair_attempts < 1:
             raise ConfigurationError("max_repair_attempts must be >= 1")
 
@@ -56,86 +67,24 @@ class EntangledBasis:
         return len(self.vectors)
 
 
-def _orthonormalize(columns: np.ndarray) -> np.ndarray:
-    """Modified Gram-Schmidt with one reorthogonalization pass, column by column."""
-    out = columns.astype(complex).copy()
-    d = out.shape[1]
-    for k in range(d):
-        for _ in range(2):
-            for j in range(k):
-                out[:, k] -= (out[:, j].conj() @ out[:, k]) * out[:, j]
-        nrm = np.linalg.norm(out[:, k])
-        if nrm < 1e-14:
-            raise DomainError(f"orthonormalization hit a linearly dependent column at index {k}")
-        out[:, k] /= nrm
-    return out
+def _admits_entangled(states: list[BasisState]) -> bool:
+    """Whether the span of these product states holds a vector entangled on every cut.
 
-
-def _rotate(columns: np.ndarray, i: int, k: int, theta: float) -> None:
-    """In-place plane rotation of columns i and k; exactly orthonormality-preserving."""
-    ci, ck = columns[:, i].copy(), columns[:, k].copy()
-    columns[:, i] = math.cos(theta) * ci - math.sin(theta) * ck
-    columns[:, k] = math.sin(theta) * ci + math.cos(theta) * ck
-
-
-# random repair angles stay away from 0 and pi/2, where a rotation degenerates
-# into identity or a column swap
-_ANGLE_LO, _ANGLE_HI = 0.1, math.pi / 2 - 0.1
-_SINGLE_ROUNDS = 8
-
-
-def _repair(cols, k, status, entangled, cfg, rng, log) -> bool:
-    """Make column k pass the predicate via orthonormality-preserving rotations.
-
-    Three escalating phases, all of which leave the set's span and pairwise
-    orthonormality intact:
-      A. pi/4 single rotations against each partner in order;
-      B. seeded random-angle single rotations;
-      C. seeded random-angle rotation chains across all partners, which merge
-         the supports of every column into column k. Single rotations cannot
-         fix vectors whose combined two-column support misses a register
-         label entirely (every such vector factorizes at that register), so
-         the chain phase is what guarantees full-support candidates.
-    A repair is committed only if column k passes the predicate and every
-    modified previously-accepted column still passes.
+    It does not iff n == 1 or some cut has one side's configuration fixed
+    across the set, that is, some register holds one label throughout: every
+    vector of the span factorizes across such a cut. Otherwise both sides vary
+    on every cut, so a generic vector of the span has rank >= 2 on each.
     """
-    d = cols.shape[1]
-    # entangled predecessors first, then not-yet-processed columns
-    partners = [i for i in range(k) if status[i]] + list(range(k + 1, d))
-    if not partners:
-        return False
+    n = states[0].n
+    return n > 1 and all(len({s.labels[r] for s in states}) > 1 for r in range(n))
 
-    def try_single(p: int, theta: float) -> bool:
-        saved = cols[:, (p, k)].copy()
-        _rotate(cols, p, k, theta)
-        accept = entangled(cols[:, k]) and (p > k or entangled(cols[:, p]))
-        log.append({"phase": "single", "partner": p, "angle": theta, "accepted": accept})
-        if not accept:
-            cols[:, (p, k)] = saved  # exact restore, no rotation round-off
-        return accept
 
-    for p in partners:
-        if try_single(p, math.pi / 4.0):
-            return True
-    for _ in range(min(_SINGLE_ROUNDS, cfg.max_repair_attempts)):
-        theta = float(rng.uniform(_ANGLE_LO, _ANGLE_HI))
-        for p in partners:
-            if try_single(p, theta):
-                return True
-
-    for _ in range(cfg.max_repair_attempts):
-        saved = cols.copy()
-        angles = [float(rng.uniform(_ANGLE_LO, _ANGLE_HI)) for _ in partners]
-        for p, theta in zip(partners, angles):
-            _rotate(cols, p, k, theta)
-        accept = entangled(cols[:, k]) and all(
-            entangled(cols[:, p]) for p in partners if p < k
-        )
-        log.append({"phase": "chain", "partners": partners, "angles": angles, "accepted": accept})
-        if accept:
-            return True
-        cols[:] = saved
-    return False
+def _haar_unitary(m: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-distributed m x m unitary: QR of a complex Ginibre matrix, with the
+    phases of R's diagonal divided out (Mezzadri 2007)."""
+    q, r = np.linalg.qr(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))
+    phases = np.diagonal(r) / np.abs(np.diagonal(r))
+    return q * phases
 
 
 def build_packaged_entangled_basis(
@@ -149,7 +98,7 @@ def build_packaged_entangled_basis(
 
     Raises DomainError on an empty sector. Returns a degenerate-flagged basis
     (with the separable vectors identified) when the sector admits no
-    entangled vector or repair runs out of attempts.
+    entangled vector or every mix attempt fails.
     """
     cfg = cfg or BuilderConfig()
     product_basis = sector_basis(registry, n, sector, allowed=allowed)
@@ -159,54 +108,55 @@ def build_packaged_entangled_basis(
         sector = SectorIndex(tuple(sector))
     d = len(product_basis)
 
-    # seed columns: (b_{2k} +- b_{2k+1})/sqrt(2) pairs, odd leftover kept as-is
+    # seed pair k sits in columns 2k, 2k+1; the odd leftover in column d-1
     cols = np.zeros((d, d), dtype=complex)
     seed_kind = []
     root_half = 1.0 / math.sqrt(2.0)
     for k in range(d // 2):
-        cols[2 * k, 2 * k] = root_half
-        cols[2 * k + 1, 2 * k] = root_half
-        cols[2 * k, 2 * k + 1] = root_half
-        cols[2 * k + 1, 2 * k + 1] = -root_half
+        cols[[k, d - 1 - k], 2 * k] = root_half, root_half
+        cols[[k, d - 1 - k], 2 * k + 1] = root_half, -root_half
         seed_kind += ["pair_plus", "pair_minus"]
     if d % 2:
-        cols[d - 1, d - 1] = 1.0
+        cols[d // 2, d - 1] = 1.0
         seed_kind.append("leftover")
-    cols = _orthonormalize(cols)
 
     def entangled(col: np.ndarray) -> bool:
         return bool(is_packaged_entangled(registry, from_coordinates(col, product_basis)))
 
-    diagnostics: list[dict] = []
-    if d == 1 or n == 1:
-        vectors = [from_coordinates(cols[:, k], product_basis) for k in range(d)]
-        separable = list(range(d))
-        for k in range(d):
-            diagnostics.append(
-                {"index": k, "seed": seed_kind[k], "entangled": False, "repairs": []}
-            )
-        return EntangledBasis(
-            vectors=vectors,
-            sector=sector,
-            n=n,
-            diagnostics=diagnostics,
-            degenerate=True,
-            separable_indices=separable,
-        )
+    def support(columns: list[int]) -> list[BasisState]:
+        rows = np.flatnonzero(np.any(cols[:, columns] != 0, axis=1))
+        return [product_basis[i] for i in rows]
 
-    rng = np.random.default_rng(cfg.rng_seed)
-    status: list[bool] = [False] * d
-    for k in range(d):
-        log: list[dict] = []
-        ok = entangled(cols[:, k])
-        if not ok:
-            ok = _repair(cols, k, status, entangled, cfg, rng, log)
-        status[k] = ok
-        diagnostics.append(
-            {"index": k, "seed": seed_kind[k], "entangled": ok, "repairs": log}
-        )
+    admits = _admits_entangled(product_basis)
+    status = [admits and entangled(cols[:, k]) for k in range(d)]
+    logs: list[list[dict]] = [[] for _ in range(d)]
+    # both columns of a seed pair share one two-term support, so they pass or
+    # fail together: the group is a union of whole pairs and the leftover
+    group = [k for k in range(d) if not status[k]]
+    if admits and group:
+        passing_pairs = (k for k in range(0, d - 1, 2) if status[k])
+        # ends by the time every pair is in: the whole sector admits
+        while not _admits_entangled(support(group)):
+            k = next(passing_pairs)
+            group += [k, k + 1]
+        group.sort()
+        rng = np.random.default_rng(cfg.rng_seed)
+        for attempt in range(cfg.max_repair_attempts):
+            mixed = cols[:, group] @ _haar_unitary(len(group), rng)
+            accepted = all(entangled(mixed[:, j]) for j in range(len(group)))
+            for k in group:
+                logs[k].append({"attempt": attempt, "columns": group, "accepted": accepted})
+            if accepted:
+                cols[:, group] = mixed
+                for k in group:
+                    status[k] = True
+                break
 
     separable = [k for k in range(d) if not status[k]]
+    diagnostics = [
+        {"index": k, "seed": seed_kind[k], "entangled": status[k], "repairs": logs[k]}
+        for k in range(d)
+    ]
     vectors = [from_coordinates(cols[:, k], product_basis) for k in range(d)]
     return EntangledBasis(
         vectors=vectors,
@@ -218,6 +168,19 @@ def build_packaged_entangled_basis(
     )
 
 
+def _deviations(basis: EntangledBasis, product_basis: list[BasisState]):
+    """Gram matrix minus identity of the vectors' sector coordinates, and the
+    Frobenius deviation of their span projector from the sector projector.
+
+    VV^dagger is d x d whatever the vector count, so span deficiency is
+    visible even when vectors are missing (projector rank < d).
+    """
+    mat = np.column_stack([coordinates(v, product_basis) for v in basis.vectors])
+    gram_dev = mat.conj().T @ mat - np.eye(basis.dimension)
+    span_dev = float(np.linalg.norm(mat @ mat.conj().T - np.eye(len(product_basis))))
+    return gram_dev, span_dev
+
+
 def verify_basis(basis: EntangledBasis, registry: SpeciesRegistry, allowed=None) -> list[str]:
     """Independent recheck of every EntangledBasis invariant; empty list iff all hold."""
     findings: list[str] = []
@@ -225,27 +188,20 @@ def verify_basis(basis: EntangledBasis, registry: SpeciesRegistry, allowed=None)
     d = len(product_basis)
     if basis.dimension != d:
         findings.append(f"vector count {basis.dimension} != sector dimension {d}")
-    tol = BuilderConfig().ortho_tolerance
 
     try:
-        mat = np.column_stack([coordinates(v, product_basis) for v in basis.vectors])
+        gram_dev, span_dev = _deviations(basis, product_basis)
     except DomainError as exc:  # support outside the sector
         findings.append(f"vectors are not expressible in the sector basis: {exc}")
         return findings
 
-    gram = mat.conj().T @ mat
-    off = gram - np.eye(basis.dimension)
-    norm_dev = float(np.max(np.abs(np.diag(off)))) if basis.dimension else 0.0
-    cross = off - np.diag(np.diag(off))
+    norm_dev = float(np.max(np.abs(np.diag(gram_dev)))) if basis.dimension else 0.0
+    cross = gram_dev - np.diag(np.diag(gram_dev))
     cross_dev = float(np.max(np.abs(cross))) if basis.dimension else 0.0
-    if norm_dev > tol:
-        findings.append(f"norm deviation {norm_dev:.3e} exceeds {tol}")
-    if cross_dev > tol:
-        findings.append(f"orthogonality deviation {cross_dev:.3e} exceeds {tol}")
-
-    # VV^dagger is d x d whatever the vector count, so span deficiency is
-    # visible even when vectors are missing (projector rank < d)
-    span_dev = float(np.linalg.norm(mat @ mat.conj().T - np.eye(d)))
+    if norm_dev > ORTHO_TOL:
+        findings.append(f"norm deviation {norm_dev:.3e} exceeds {ORTHO_TOL}")
+    if cross_dev > ORTHO_TOL:
+        findings.append(f"orthogonality deviation {cross_dev:.3e} exceeds {ORTHO_TOL}")
     if span_dev > SPAN_TOL:
         findings.append(
             f"span projector deviates from sector projector by {span_dev:.3e} (Frobenius)"
@@ -267,15 +223,12 @@ def verify_basis(basis: EntangledBasis, registry: SpeciesRegistry, allowed=None)
 def basis_metrics(basis: EntangledBasis, registry: SpeciesRegistry, allowed=None) -> dict:
     """Numeric summary used by reports: Gram and span deviations, entangled count."""
     product_basis = sector_basis(registry, basis.n, basis.sector, allowed=allowed)
-    mat = np.column_stack([coordinates(v, product_basis) for v in basis.vectors])
-    gram = mat.conj().T @ mat
+    gram_dev, span_dev = _deviations(basis, product_basis)
     d = len(product_basis)
     return {
         "dimension": d,
-        "max_gram_deviation": float(np.max(np.abs(gram - np.eye(basis.dimension)))),
-        "span_frobenius_deviation": float(np.linalg.norm(mat @ mat.conj().T - np.eye(d)))
-        if basis.dimension == d
-        else None,
+        "max_gram_deviation": float(np.max(np.abs(gram_dev))),
+        "span_frobenius_deviation": span_dev if basis.dimension == d else None,
         "entangled_count": sum(
             1 for k in range(basis.dimension) if k not in basis.separable_indices
         ),

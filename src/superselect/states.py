@@ -208,6 +208,8 @@ def apply_u1_gauge(
     Only gauged components generate a phase action; naming a global component
     is a configuration error.
     """
+    if not math.isfinite(theta):
+        raise ConfigurationError(f"gauge angle theta must be finite, got {theta!r}")
     idx = registry.component_index(component)
     if registry.charge_specs[idx].kind != GAUGED:
         raise ConfigurationError(
@@ -275,6 +277,17 @@ def state_to_dict(vec: StateVector) -> dict:
     }
 
 
+def _amplitude_part(entry: dict, key: str) -> float:
+    value = entry.get(key, 0.0)
+    try:
+        part = float(value)
+    except (TypeError, ValueError):
+        part = math.nan  # reported below like any non-finite value
+    if not math.isfinite(part):
+        raise ConfigurationError(f"state field {key!r} must be a finite number, got {value!r}")
+    return part
+
+
 def state_from_dict(data: dict, registry: SpeciesRegistry | None = None) -> StateVector:
     try:
         n = data["n"]
@@ -283,10 +296,16 @@ def state_from_dict(data: dict, registry: SpeciesRegistry | None = None) -> Stat
         raise ConfigurationError(f"state document missing field: {exc}") from None
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ConfigurationError(f"state field 'n' must be a positive integer, got {n!r}")
+    if not isinstance(raw_terms, list):
+        raise ConfigurationError(f"state field 'terms' must be a list, got {type(raw_terms).__name__}")
     terms: dict[BasisState, complex] = {}
     for entry in raw_terms:
+        if not isinstance(entry, dict) or not isinstance(entry.get("labels"), list):
+            raise ConfigurationError(f"state term needs a 'labels' list, got {entry!r}")
         labels = []
         for raw in entry["labels"]:
+            if not isinstance(raw, dict) or "species" not in raw:
+                raise ConfigurationError(f"state label needs a 'species' field, got {raw!r}")
             spin = raw.get("spin", 0)
             if isinstance(spin, bool) or not isinstance(spin, int):
                 raise ConfigurationError(f"state field 'spin' must be an integer, got {spin!r}")
@@ -299,7 +318,7 @@ def state_from_dict(data: dict, registry: SpeciesRegistry | None = None) -> Stat
         if registry is not None:
             for label in labels:
                 validate_label(registry, label)
-        amp = complex(float(entry.get("re", 0.0)), float(entry.get("im", 0.0)))
+        amp = complex(_amplitude_part(entry, "re"), _amplitude_part(entry, "im"))
         terms[state] = terms.get(state, 0j) + amp
     return StateVector(terms, n=n)
 

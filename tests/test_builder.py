@@ -10,13 +10,15 @@ from superselect.builder import (
 )
 from superselect.entangle import is_packaged_entangled
 from superselect.errors import ConfigurationError, DomainError
-from superselect.fock import sector_basis
+from superselect.fock import attained_sectors, sector_basis
 from superselect.scenarios import (
     build_scenario,
     electron_positron_registry,
     neutral_kaon_registry,
 )
 from superselect.states import StateVector, inner_product, max_term_deviation, superpose
+
+from helpers import dyon_registry, lepton_photon_registry
 
 
 @pytest.fixture
@@ -82,8 +84,6 @@ def test_empty_sector_rejected(ep):
 
 def test_builder_config_validation():
     with pytest.raises(ConfigurationError):
-        BuilderConfig(ortho_tolerance=0.0)
-    with pytest.raises(ConfigurationError):
         BuilderConfig(max_repair_attempts=0)
 
 
@@ -125,3 +125,38 @@ def test_spinful_sector_builds_entangled_basis():
     assert basis.dimension == len(sector_basis(reg, 2, (0,)))
     assert not basis.degenerate
     assert verify_basis(basis, reg) == []
+
+
+@pytest.mark.parametrize("registry, registers", [
+    (electron_positron_registry(1), range(2, 6)),
+    (electron_positron_registry(2), range(2, 4)),
+    (dyon_registry(), range(2, 4)),
+    (lepton_photon_registry(), range(2, 4)),
+], ids=["ep", "ep-spin2", "dyon", "lepton-photon"])
+def test_degenerate_iff_no_entangled_vector_can_exist(registry, registers):
+    for n in registers:
+        for sector in attained_sectors(registry, n):
+            basis = build_packaged_entangled_basis(registry, n, sector)
+            label = f"n={n} {sector}"
+            assert basis.degenerate == (basis.dimension == 1), label
+            assert verify_basis(basis, registry) == [], label
+            # one Haar mix of a structurally admissible group suffices
+            assert all(len(entry["repairs"]) <= 1 for entry in basis.diagnostics), label
+
+
+def test_seventy_dimensional_sector_verifies(ep):
+    basis = build_packaged_entangled_basis(ep, 8, (0,))
+    assert basis.dimension == 70 and not basis.degenerate
+    assert verify_basis(basis, ep) == []
+
+
+def test_diagnostics_shape(ep):
+    basis = build_packaged_entangled_basis(ep, 3, (-1,))
+    assert [entry["index"] for entry in basis.diagnostics] == list(range(basis.dimension))
+    for entry in basis.diagnostics:
+        assert set(entry) == {"index", "seed", "entangled", "repairs"}
+        assert entry["entangled"] is True
+        for record in entry["repairs"]:
+            assert set(record) == {"attempt", "columns", "accepted"}
+            assert entry["index"] in record["columns"]
+        assert entry["repairs"][-1]["accepted"] is True

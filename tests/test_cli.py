@@ -199,6 +199,34 @@ def test_schema_violation_names_the_field(capsys, workdir):
     assert code == 1 and "spin" in err
 
 
+_TERM = {"labels": [{"species": "e-", "spin": 0}, {"species": "e+", "spin": 0}],
+         "re": 1.0, "im": 0.0}
+_VALID = {"n": 2, "terms": [_TERM]}
+_GAUGE = ("gauge", "--component", "electric", "--theta")
+
+
+@pytest.mark.parametrize("command, document, field", [
+    (("validate",), {"n": 2, "terms": [{"re": 1.0, "im": 0.0}]}, "labels"),
+    (("validate",), {"n": 2, "terms": [{**_TERM, "re": "x"}]}, "'re'"),
+    (("validate",), {"n": 2, "terms": {"0": _TERM}}, "'terms'"),
+    (("validate",), {"n": 2, "terms": [{**_TERM, "re": math.inf}]}, "'re'"),
+    (("validate",), {"n": 2, "terms": [{**_TERM, "im": math.nan}]}, "'im'"),
+    ((*_GAUGE, "nan"), _VALID, "theta"),
+    ((*_GAUGE, "inf"), _VALID, "theta"),
+], ids=["no-labels", "re-not-number", "terms-object", "re-infinite", "im-nan",
+        "theta-nan", "theta-inf"])
+def test_malformed_input_exits_1_naming_the_field(capsys, workdir, command, document, field):
+    path = workdir / "malformed.json"
+    path.write_text(json.dumps(document))  # non-finite floats become Infinity / NaN
+    code, out, err = run(
+        capsys, "--json", command[0],
+        "--registry", str(workdir / "ep.json"), "--state", str(path), *command[1:],
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("superselect: error:") and err.count("\n") == 1
+    assert field in err
+
+
 def test_unknown_subcommand_exits_1():
     with pytest.raises(SystemExit) as excinfo:
         main(["frobnicate"])
