@@ -52,6 +52,7 @@ from .entangle import (
     PptResult,
     SchmidtResult,
     all_bipartitions,
+    cut_spectra,
     entanglement_entropy,
     internal_charge_marginal,
     is_entangled_somewhere,

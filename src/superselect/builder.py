@@ -8,7 +8,9 @@ The build has four steps:
    often its register-wise complement, and two product states that differ at
    every register are entangled on every cut. The seeds are orthonormal by
    construction.
-2. Check each seed column against the every-cut entanglement predicate.
+2. Check the seed columns against the every-cut entanglement predicate, all
+   at once: one index plan of the sector serves every check, and each cut
+   costs one batched SVD over the columns that have not yet failed.
 3. Mix. Widen the failing columns by whole passing seed pairs, lowest index
    first, until their support passes the structural test of
    ``_admits_entangled``, then multiply them by one seeded Haar-random
@@ -32,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .charges import SpeciesRegistry
-from .entangle import is_packaged_entangled
+from .entangle import CutPlan, every_cut_entangled, is_packaged_entangled
 from .errors import ConfigurationError, DomainError, SimulatorError
 from .fock import BasisState, SectorIndex, sector_basis
 from .states import StateVector, coordinates, from_coordinates
@@ -61,6 +63,9 @@ class EntangledBasis:
     diagnostics: list[dict] = field(default_factory=list)
     degenerate: bool = False
     separable_indices: list[int] = field(default_factory=list)
+    #: The sector's product basis the builder took coordinates in; None for a
+    #: basis assembled elsewhere.
+    product_basis: list[BasisState] | None = field(default=None, repr=False, compare=False)
 
     @property
     def dimension(self) -> int:
@@ -120,20 +125,18 @@ def build_packaged_entangled_basis(
         cols[d // 2, d - 1] = 1.0
         seed_kind.append("leftover")
 
-    def entangled(col: np.ndarray) -> bool:
-        return bool(is_packaged_entangled(registry, from_coordinates(col, product_basis)))
-
     def support(columns: list[int]) -> list[BasisState]:
         rows = np.flatnonzero(np.any(cols[:, columns] != 0, axis=1))
         return [product_basis[i] for i in rows]
 
-    admits = _admits_entangled(product_basis)
-    status = [admits and entangled(cols[:, k]) for k in range(d)]
+    # one index plan for the sector; every check below shares it
+    plan = CutPlan(product_basis, n)
+    status = every_cut_entangled(plan, cols)
     logs: list[list[dict]] = [[] for _ in range(d)]
     # both columns of a seed pair share one two-term support, so they pass or
     # fail together: the group is a union of whole pairs and the leftover
     group = [k for k in range(d) if not status[k]]
-    if admits and group:
+    if group and _admits_entangled(product_basis):
         passing_pairs = (k for k in range(0, d - 1, 2) if status[k])
         # ends by the time every pair is in: the whole sector admits
         while not _admits_entangled(support(group)):
@@ -143,7 +146,7 @@ def build_packaged_entangled_basis(
         rng = np.random.default_rng(cfg.rng_seed)
         for attempt in range(cfg.max_repair_attempts):
             mixed = cols[:, group] @ _haar_unitary(len(group), rng)
-            accepted = all(entangled(mixed[:, j]) for j in range(len(group)))
+            accepted = all(every_cut_entangled(plan, mixed))
             for k in group:
                 logs[k].append({"attempt": attempt, "columns": group, "accepted": accepted})
             if accepted:
@@ -165,6 +168,7 @@ def build_packaged_entangled_basis(
         diagnostics=diagnostics,
         degenerate=bool(separable),
         separable_indices=separable,
+        product_basis=product_basis,
     )
 
 
@@ -221,8 +225,14 @@ def verify_basis(basis: EntangledBasis, registry: SpeciesRegistry, allowed=None)
 
 
 def basis_metrics(basis: EntangledBasis, registry: SpeciesRegistry, allowed=None) -> dict:
-    """Numeric summary used by reports: Gram and span deviations, entangled count."""
-    product_basis = sector_basis(registry, basis.n, basis.sector, allowed=allowed)
+    """Numeric summary used by reports: Gram and span deviations, entangled count.
+
+    Takes coordinates in the builder's own product basis when the basis
+    carries one, else in the sector basis enumerated here.
+    """
+    product_basis = basis.product_basis
+    if product_basis is None:
+        product_basis = sector_basis(registry, basis.n, basis.sector, allowed=allowed)
     gram_dev, span_dev = _deviations(basis, product_basis)
     d = len(product_basis)
     return {

@@ -15,12 +15,12 @@ from .charges import load_registry
 from .entangle import (
     Bipartition,
     all_bipartitions,
+    cut_spectra,
     entanglement_entropy,
     internal_charge_marginal,
-    is_entangled_somewhere,
     is_packaged_entangled,
     ppt_check,
-    schmidt,
+    predicate_report,
 )
 from .errors import SimulatorError, SuperselectionError
 from .fock import SectorIndex
@@ -32,6 +32,7 @@ from .states import (
     inner_product,
     load_state,
     max_term_deviation,
+    require_single_sector,
     save_state,
     state_to_dict,
     superpose,
@@ -223,25 +224,26 @@ def _run_basis(args) -> tuple[int, dict]:
 def _run_entangle(args) -> tuple[int, dict]:
     registry = load_registry(args.registry)
     state = load_state(args.state, registry=registry, renormalize=args.normalize)
-    if args.cut:
-        cuts = [_parse_cut(c, state.n) for c in args.cut]
-    else:
-        cuts = all_bipartitions(state.n)
-    per_cut = []
-    for cut in cuts:
-        result = schmidt(state, cut)
-        per_cut.append({
+    every = all_bipartitions(state.n)
+    cuts = [_parse_cut(c, state.n) for c in args.cut] if args.cut else every
+    # one SVD per distinct cut: the reported ones, then the rest the predicates need
+    scanned = list(dict.fromkeys(cuts + every))
+    spectra = dict(zip(scanned, cut_spectra(state, scanned)))
+    require_single_sector(registry, state)
+    per_cut = [
+        {
             "cut": str(cut),
-            "singular_values": [float(v) for v in result.singular_values],
-            "rank": result.rank,
-            "entropy_nats": entanglement_entropy(state, cut),
-        })
-    strong = is_packaged_entangled(registry, state)
-    weak = is_entangled_somewhere(registry, state)
+            "singular_values": [float(v) for v in spectra[cut].singular_values],
+            "rank": spectra[cut].rank,
+            "entropy_nats": spectra[cut].entropy(),
+        }
+        for cut in cuts
+    ]
+    ranks = {cut.key(): spectra[cut].rank for cut in every}
     results = {
         "cuts": per_cut,
-        "packaged_entangled": strong.to_dict(),
-        "entangled_somewhere": weak.to_dict(),
+        "packaged_entangled": predicate_report("every-cut", state.n, ranks).to_dict(),
+        "entangled_somewhere": predicate_report("some-cut", state.n, ranks).to_dict(),
     }
     return EXIT_OK, results
 

@@ -80,6 +80,62 @@ def _check_cut(vec: StateVector, cut: Bipartition) -> None:
         raise DomainError(f"cut {cut} does not match register count n={vec.n}")
 
 
+#: Largest mixed-radix key a cut side may build before it is re-compressed.
+_KEY_LIMIT = int(np.iinfo(np.int64).max)
+
+
+class CutPlan:
+    """Integer index plan for reshaping amplitudes over fixed product states.
+
+    Each register's labels get integer codes once, in sorted label order. A
+    cut side's configurations are then ranked with numpy alone: the codes of
+    its registers are folded into mixed-radix keys, one register at a time,
+    and ``np.unique`` ranks the keys. Since the codes follow label order, the
+    ranks follow the sorted order of the side's label tuples, which is the
+    row and column order ``amplitude_matrix`` promises. A key that would
+    outgrow int64 is first re-compressed to its rank among the distinct keys,
+    so any register count works.
+    """
+
+    def __init__(self, states, n: int):
+        self.states = list(states)
+        self.n = n
+        self.codes = np.empty((len(self.states), n), dtype=np.int64)
+        self.radices = []
+        for r in range(n):
+            column = [s.labels[r] for s in self.states]
+            index = {label: i for i, label in enumerate(sorted(set(column)))}
+            self.codes[:, r] = [index[label] for label in column]
+            self.radices.append(len(index))
+        self._cut_index: dict[Bipartition, tuple] = {}
+
+    def side(self, registers) -> tuple[np.ndarray, np.ndarray]:
+        """Each state's rank among the distinct configurations of ``registers``
+        (in sorted label-tuple order), and the first state showing each one."""
+        key = np.zeros(len(self.states), dtype=np.int64)
+        bound = 1  # exclusive upper bound on key, as a Python int
+        for r in registers:
+            if bound * self.radices[r] > _KEY_LIMIT:
+                _, key = np.unique(key, return_inverse=True)
+                bound = len(self.states)
+            key = key * self.radices[r] + self.codes[:, r]
+            bound *= self.radices[r]
+        _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+        return inverse, first
+
+    def index(self, cut: Bipartition) -> tuple[np.ndarray, np.ndarray, tuple[int, int]]:
+        """Row and column index of every state across ``cut``, and the matrix shape."""
+        if cut not in self._cut_index:
+            rows, lfirst = self.side(sorted(cut.left))
+            cols, rfirst = self.side(sorted(cut.right))
+            self._cut_index[cut] = rows, cols, (len(lfirst), len(rfirst))
+        return self._cut_index[cut]
+
+
+def _amplitudes(vec: StateVector) -> np.ndarray:
+    return np.fromiter(vec.terms.values(), dtype=complex, count=len(vec))
+
+
 def amplitude_matrix(vec: StateVector, cut: Bipartition):
     """Reshape the term map into a matrix indexed by (left labels, right labels).
 
@@ -89,16 +145,15 @@ def amplitude_matrix(vec: StateVector, cut: Bipartition):
     singular values are unaffected by this choice.
     """
     _check_cut(vec, cut)
+    plan = CutPlan(vec.terms, vec.n)
     lidx = sorted(cut.left)
     ridx = sorted(cut.right)
-    lkeys = sorted({tuple(b.labels[i] for i in lidx) for b in vec.terms})
-    rkeys = sorted({tuple(b.labels[i] for i in ridx) for b in vec.terms})
-    lmap = {k: i for i, k in enumerate(lkeys)}
-    rmap = {k: i for i, k in enumerate(rkeys)}
-    mat = np.zeros((len(lkeys), len(rkeys)), dtype=complex)
-    for state, amp in vec.terms.items():
-        mat[lmap[tuple(state.labels[i] for i in lidx)],
-            rmap[tuple(state.labels[i] for i in ridx)]] = amp
+    rows, lfirst = plan.side(lidx)
+    cols, rfirst = plan.side(ridx)
+    mat = np.zeros((len(lfirst), len(rfirst)), dtype=complex)
+    mat[rows, cols] = _amplitudes(vec)
+    lkeys = [tuple(plan.states[i].labels[r] for r in lidx) for i in lfirst]
+    rkeys = [tuple(plan.states[i].labels[r] for r in ridx) for i in rfirst]
     return mat, lkeys, rkeys
 
 
@@ -112,22 +167,43 @@ class SchmidtResult:
     def squared(self) -> np.ndarray:
         return self.singular_values ** 2
 
+    def entropy(self) -> float:
+        """Von Neumann entropy (nats) of either side's marginal; 0 for product states."""
+        lam = self.squared()
+        lam = lam[lam > (RANK_REL_TOL * self.singular_values[0]) ** 2]
+        return float(max(0.0, -np.sum(lam * np.log(lam))))
+
+
+def _spectra(vec: StateVector, cuts) -> list[SchmidtResult]:
+    """One plan for the state's support, then one SVD per cut."""
+    plan = CutPlan(vec.terms, vec.n)
+    amplitudes = _amplitudes(vec)
+    results = []
+    for cut in cuts:
+        _check_cut(vec, cut)
+        rows, cols, shape = plan.index(cut)
+        mat = np.zeros(shape, dtype=complex)
+        mat[rows, cols] = amplitudes
+        values = np.linalg.svd(mat, compute_uv=False)
+        rank = int(np.sum(values > RANK_REL_TOL * values[0])) if values.size else 0
+        results.append(SchmidtResult(singular_values=values, rank=rank))
+    return results
+
+
+def cut_spectra(vec: StateVector, cuts) -> list[SchmidtResult]:
+    """Schmidt spectrum across each of ``cuts``, in order, from one index plan."""
+    _check_normalized(vec)
+    return _spectra(vec, cuts)
+
 
 def schmidt(vec: StateVector, cut: Bipartition) -> SchmidtResult:
     """Schmidt spectrum across ``cut``; rank 1 iff the state factorizes there."""
-    _check_normalized(vec)
-    mat, _, _ = amplitude_matrix(vec, cut)
-    values = np.linalg.svd(mat, compute_uv=False)
-    rank = int(np.sum(values > RANK_REL_TOL * values[0])) if values.size else 0
-    return SchmidtResult(singular_values=values, rank=rank)
+    return cut_spectra(vec, [cut])[0]
 
 
 def entanglement_entropy(vec: StateVector, cut: Bipartition) -> float:
     """Von Neumann entropy (nats) of either side's marginal; 0 for product states."""
-    result = schmidt(vec, cut)
-    lam = result.squared()
-    lam = lam[lam > (RANK_REL_TOL * result.singular_values[0]) ** 2]
-    return float(max(0.0, -np.sum(lam * np.log(lam))))
+    return schmidt(vec, cut).entropy()
 
 
 @dataclass
@@ -155,17 +231,24 @@ class EntanglementReport:
         }
 
 
-def _rank_report(registry: SpeciesRegistry, vec: StateVector, predicate: str) -> EntanglementReport:
-    _check_normalized(vec)
-    require_single_sector(registry, vec)
-    if vec.n == 1:
+def predicate_report(predicate: str, n: int, ranks: dict[tuple[int, ...], int]) -> EntanglementReport:
+    """Verdict of ``predicate`` ("every-cut" or "some-cut") on an n-register
+    state, given the Schmidt rank of every cut of ``all_bipartitions(n)``."""
+    if n == 1:
         return EntanglementReport(entangled=False, predicate=predicate, undefined=True)
-    ranks = {cut.key(): schmidt(vec, cut).rank for cut in all_bipartitions(vec.n)}
     if predicate == "every-cut":
         verdict = all(r > 1 for r in ranks.values())
     else:
         verdict = any(r > 1 for r in ranks.values())
-    return EntanglementReport(entangled=verdict, predicate=predicate, cut_ranks=ranks)
+    return EntanglementReport(entangled=verdict, predicate=predicate, cut_ranks=dict(ranks))
+
+
+def _rank_report(registry: SpeciesRegistry, vec: StateVector, predicate: str) -> EntanglementReport:
+    _check_normalized(vec)
+    require_single_sector(registry, vec)
+    cuts = all_bipartitions(vec.n)
+    ranks = {cut.key(): result.rank for cut, result in zip(cuts, _spectra(vec, cuts))}
+    return predicate_report(predicate, vec.n, ranks)
 
 
 def is_packaged_entangled(registry: SpeciesRegistry, vec: StateVector) -> EntanglementReport:
@@ -180,6 +263,32 @@ def is_packaged_entangled(registry: SpeciesRegistry, vec: StateVector) -> Entang
 def is_entangled_somewhere(registry: SpeciesRegistry, vec: StateVector) -> EntanglementReport:
     """Weak predicate: Schmidt rank above one on at least one bipartition."""
     return _rank_report(registry, vec, "some-cut")
+
+
+def every_cut_entangled(plan: CutPlan, columns: np.ndarray) -> list[bool]:
+    """The every-cut predicate on each column of coordinates over ``plan.states``.
+
+    Per cut, all columns still in play are reshaped into one (k, L, R) stack
+    and share one batched SVD; a column that factorizes on a cut is not
+    checked on later ones. A column's verdict is that of
+    ``is_packaged_entangled`` on its state: padding a cut matrix with the zero
+    rows and columns of the plan's wider support leaves its nonzero singular
+    values unchanged up to rounding.
+    """
+    verdict = np.full(columns.shape[1], plan.n > 1)
+    for cut in all_bipartitions(plan.n):
+        live = np.flatnonzero(verdict)
+        if not live.size:
+            break
+        rows, cols, shape = plan.index(cut)
+        if min(shape) < 2:
+            verdict[:] = False
+            break
+        stack = np.zeros((live.size, *shape), dtype=complex)
+        stack[:, rows, cols] = columns[:, live].T
+        values = np.linalg.svd(stack, compute_uv=False)
+        verdict[live] = values[:, 1] > RANK_REL_TOL * values[:, 0]
+    return verdict.tolist()
 
 
 # -- internal-charge marginals and the PPT witness -----------------------------

@@ -94,11 +94,14 @@ def enumerate_basis(registry: SpeciesRegistry, n: int, allowed=None) -> list[Bas
 
 def total_charge(registry: SpeciesRegistry, state: BasisState) -> ChargeVector:
     """Componentwise sum of the species charges over all registers."""
-    total = registry.zero_charge()
+    total = [0] * registry.arity
     for label in state.labels:
         validate_label(registry, label)
-        total = total + registry.get(label.species_id).charges
-    return total
+        charges = registry.get(label.species_id).charges.components
+        if len(charges) != len(total):
+            raise ConfigurationError(f"charge arity mismatch: {len(total)} vs {len(charges)}")
+        total = [a + b for a, b in zip(total, charges)]
+    return ChargeVector(tuple(total))
 
 
 def state_sector(registry: SpeciesRegistry, state: BasisState) -> SectorIndex:

@@ -126,6 +126,28 @@ def oracle_entangled_somewhere(vec: StateVector) -> bool:
     return False
 
 
+# -- loop reference for the cut reshape -------------------------------------------
+
+def reference_amplitude_matrix(vec: StateVector, cut):
+    """``amplitude_matrix`` built with dicts of label tuples, one term at a time.
+
+    Rows and columns are the sorted distinct left and right label tuples of
+    the support; the integer index plan in ``superselect.entangle`` must
+    reproduce this element for element.
+    """
+    lidx = sorted(cut.left)
+    ridx = sorted(cut.right)
+    lkeys = sorted({tuple(b.labels[i] for i in lidx) for b in vec.terms})
+    rkeys = sorted({tuple(b.labels[i] for i in ridx) for b in vec.terms})
+    lmap = {k: i for i, k in enumerate(lkeys)}
+    rmap = {k: i for i, k in enumerate(rkeys)}
+    mat = np.zeros((len(lkeys), len(rkeys)), dtype=complex)
+    for state, amp in vec.terms.items():
+        mat[lmap[tuple(state.labels[i] for i in lidx)],
+            rmap[tuple(state.labels[i] for i in ridx)]] = amp
+    return mat, lkeys, rkeys
+
+
 # -- random single-sector states --------------------------------------------------
 
 def tensor_product(a: StateVector, b: StateVector) -> StateVector:

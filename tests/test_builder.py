@@ -1,24 +1,33 @@
 """Sector-spanning entangled basis construction and verification."""
 
+import numpy as np
 import pytest
 
 from superselect.builder import (
     BuilderConfig,
+    _haar_unitary,
     basis_metrics,
     build_packaged_entangled_basis,
     verify_basis,
 )
-from superselect.entangle import is_packaged_entangled
+from superselect.entangle import CutPlan, every_cut_entangled, is_packaged_entangled
 from superselect.errors import ConfigurationError, DomainError
 from superselect.fock import attained_sectors, sector_basis
 from superselect.scenarios import (
     build_scenario,
+    color_toy_registry,
     electron_positron_registry,
     neutral_kaon_registry,
 )
-from superselect.states import StateVector, inner_product, max_term_deviation, superpose
+from superselect.states import (
+    StateVector,
+    from_coordinates,
+    inner_product,
+    max_term_deviation,
+    superpose,
+)
 
-from helpers import dyon_registry, lepton_photon_registry
+from helpers import dyon_registry, lepton_photon_registry, oracle_packaged_entangled
 
 
 @pytest.fixture
@@ -160,3 +169,41 @@ def test_diagnostics_shape(ep):
             assert set(record) == {"attempt", "columns", "accepted"}
             assert entry["index"] in record["columns"]
         assert entry["repairs"][-1]["accepted"] is True
+
+
+@pytest.mark.parametrize("registry, n, sector", [
+    (electron_positron_registry(1), 4, (0,)),
+    (electron_positron_registry(1), 5, (1,)),
+    (electron_positron_registry(2), 3, (1,)),
+    (color_toy_registry(), 3, (-1,)),
+    (dyon_registry(), 3, (1, 1)),
+    (lepton_photon_registry(), 3, (0,)),
+], ids=["ep-n4", "ep-n5", "ep-spin2-n3", "colour-n3", "dyon-n3", "lepton-photon-n3"])
+def test_batched_column_check_matches_per_column_predicate(registry, n, sector):
+    basis = sector_basis(registry, n, sector)
+    d = len(basis)
+    rng = np.random.default_rng(d)
+    haar = _haar_unitary(d, rng)
+    half = np.eye(d, dtype=complex)
+    half[:, : d // 2] = half[:, : d // 2] @ _haar_unitary(d // 2, rng)
+    # Haar-mixed columns, product columns (rank 1 on every cut), mixes of a few
+    for columns in (haar, np.eye(d, dtype=complex), half):
+        verdicts = every_cut_entangled(CutPlan(basis, n), columns)
+        assert all(type(v) is bool for v in verdicts)
+        states = [from_coordinates(columns[:, k], basis) for k in range(d)]
+        assert verdicts == [is_packaged_entangled(registry, s).entangled for s in states]
+        assert verdicts == [oracle_packaged_entangled(s) for s in states]
+
+
+def test_metrics_reuse_the_builders_product_basis(ep, monkeypatch):
+    import superselect.builder
+
+    basis = build_packaged_entangled_basis(ep, 4, (0,))
+    expected = basis_metrics(basis, ep)
+    calls = []
+    monkeypatch.setattr(
+        superselect.builder, "sector_basis", lambda *a, **k: calls.append(a) or sector_basis(*a, **k)
+    )
+    assert basis_metrics(basis, ep) == expected and calls == []
+    verify_basis(basis, ep)  # the independent recheck enumerates the sector itself
+    assert len(calls) == 1

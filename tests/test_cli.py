@@ -3,16 +3,27 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from superselect.charges import save_registry
 from superselect.cli import main
+from superselect.entangle import (
+    Bipartition,
+    all_bipartitions,
+    entanglement_entropy,
+    is_entangled_somewhere,
+    is_packaged_entangled,
+    schmidt,
+)
 from superselect.scenarios import (
     build_scenario,
     electron_positron_registry,
     neutral_kaon_registry,
 )
 from superselect.states import inner_product, load_state, save_state
+
+from helpers import random_sector_superposition
 
 
 @pytest.fixture(autouse=True)
@@ -117,6 +128,37 @@ def test_entangle_reports_cuts(capsys, workdir):
     )
     assert code == 0
     assert "{0}|{1}" in out and "rank: 2" in out
+
+
+@pytest.mark.parametrize("cut_args", [(), ("--cut", "1,2", "--cut", "0", "--cut", "0")],
+                         ids=["every-cut", "chosen-cuts"])
+def test_entangle_report_equals_per_cut_schmidt(capsys, tmp_path, cut_args):
+    reg = electron_positron_registry(2)
+    save_registry(reg, str(tmp_path / "ep2.json"))
+    rng = np.random.default_rng(5)
+    for n in (3, 4):
+        state = random_sector_superposition(rng, reg, n)
+        path = tmp_path / f"state{n}.json"
+        save_state(state, str(path))
+        code, out, _ = run(capsys, "--json", "entangle", "--registry", str(tmp_path / "ep2.json"),
+                           "--state", str(path), *cut_args)
+        assert code == 0
+        results = json.loads(out)["results"]
+        if cut_args:
+            cuts = [Bipartition.from_left(c, n) for c in ({1, 2}, {0}, {0})]
+        else:
+            cuts = all_bipartitions(n)
+        assert [block["cut"] for block in results["cuts"]] == [str(cut) for cut in cuts]
+        for cut, block in zip(cuts, results["cuts"]):
+            expected = schmidt(state, cut)
+            assert block["singular_values"] == [float(v) for v in expected.singular_values]
+            assert block["rank"] == expected.rank
+            assert block["entropy_nats"] == entanglement_entropy(state, cut)
+        ranks = {",".join(map(str, cut.key())): schmidt(state, cut).rank for cut in all_bipartitions(n)}
+        for key, predicate in (("packaged_entangled", is_packaged_entangled),
+                               ("entangled_somewhere", is_entangled_somewhere)):
+            assert results[key]["cut_ranks"] == ranks
+            assert results[key] == predicate(reg, state).to_dict()
 
 
 def test_entangle_exits_2_on_cross_sector_state(capsys, workdir):

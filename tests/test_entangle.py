@@ -11,6 +11,7 @@ from superselect.entangle import (
     DensityMatrix,
     all_bipartitions,
     amplitude_matrix,
+    cut_spectra,
     entanglement_entropy,
     internal_charge_marginal,
     is_entangled_somewhere,
@@ -20,13 +21,21 @@ from superselect.entangle import (
 )
 from superselect.errors import DomainError, SuperselectionError
 from superselect.fock import BasisState, RegisterLabel
-from superselect.scenarios import build_scenario, electron_positron_registry
+from superselect.scenarios import (
+    build_scenario,
+    color_toy_registry,
+    electron_positron_registry,
+    neutral_kaon_registry,
+)
 from superselect.states import StateVector
 
 from helpers import (
+    dyon_registry,
+    lepton_photon_registry,
     oracle_entangled_somewhere,
     oracle_packaged_entangled,
     random_single_sector_state,
+    reference_amplitude_matrix,
     two_family_registry,
 )
 
@@ -208,6 +217,80 @@ def test_schmidt_values_invariant_under_local_unitaries():
             before = np.pad(before, (0, size - len(before)))
             after = np.pad(after, (0, size - len(after)))
             assert np.max(np.abs(before - after)) <= 1e-9
+
+
+# -- the cut-reshape kernel against its loop reference ---------------------------
+
+TEST_REGISTRIES = {
+    "ep": electron_positron_registry(1),
+    "ep-spin2": electron_positron_registry(2),
+    "ep-spin3": electron_positron_registry(3),
+    "colour": color_toy_registry(),
+    "kaon": neutral_kaon_registry(),
+    "two-family": two_family_registry(),
+    "dyon": dyon_registry(),
+    "lepton-photon": lepton_photon_registry(),
+}
+
+
+def _every_side(n):
+    """Every nontrivial left side, including those without register 0."""
+    return [
+        Bipartition.from_left(left, n)
+        for r in range(1, n)
+        for left in itertools.combinations(range(n), r)
+    ]
+
+
+@pytest.mark.parametrize("name", sorted(TEST_REGISTRIES))
+def test_cut_kernel_matches_loop_reference(name):
+    reg = TEST_REGISTRIES[name]
+    rng = np.random.default_rng(sorted(TEST_REGISTRIES).index(name))
+    for _ in range(12):
+        n = int(rng.integers(2, 5))
+        vec = random_single_sector_state(rng, reg, n)
+        cuts = _every_side(n)
+        spectra = cut_spectra(vec, cuts)
+        for cut, result in zip(cuts, spectra):
+            mat, lkeys, rkeys = amplitude_matrix(vec, cut)
+            ref, ref_lkeys, ref_rkeys = reference_amplitude_matrix(vec, cut)
+            assert mat.tobytes() == ref.tobytes() and mat.shape == ref.shape, str(cut)
+            assert (lkeys, rkeys) == (ref_lkeys, ref_rkeys), str(cut)
+            ref_values = np.linalg.svd(ref, compute_uv=False)
+            assert schmidt(vec, cut).singular_values.tobytes() == ref_values.tobytes(), str(cut)
+            assert result.singular_values.tobytes() == ref_values.tobytes(), str(cut)
+
+
+def _two_term_state(n):
+    """(|e-,e+,e-,...> + |e+,e-,e+,...>)/sqrt(2) on n (even) registers: sector 0."""
+    first = tuple(RegisterLabel("e-" if r % 2 == 0 else "e+") for r in range(n))
+    second = tuple(RegisterLabel("e+" if r % 2 == 0 else "e-") for r in range(n))
+    return StateVector({BasisState(first): ROOT_HALF, BasisState(second): ROOT_HALF})
+
+
+def test_schmidt_on_seventy_registers_does_not_overflow(monkeypatch):
+    # 2^69 right-side configurations: a single mixed-radix key would overflow int64
+    import superselect.fock
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the cut kernel must not enumerate a basis")
+
+    monkeypatch.setattr(superselect.fock, "enumerate_basis", refuse)
+    vec = _two_term_state(70)
+    for left in ({0}, set(range(35)), set(range(0, 70, 2))):
+        result = schmidt(vec, Bipartition.from_left(left, 70))
+        assert result.rank == 2
+        assert np.allclose(result.singular_values, [ROOT_HALF, ROOT_HALF], atol=1e-12)
+    # a third term that differs from the first only in the leading registers
+    # of the long side, the digits an overflowing key would lose
+    labels = list(next(iter(vec.terms)).labels)
+    labels[1], labels[2] = labels[2], labels[1]
+    wider = StateVector({**vec.terms, BasisState(tuple(labels)): 0.5})
+    wider = StateVector({b: a / wider.norm() for b, a in wider.terms.items()})
+    for cut in (Bipartition.from_left({0}, 70), Bipartition.from_left(set(range(1, 70)), 70)):
+        mat, lkeys, rkeys = amplitude_matrix(wider, cut)
+        ref, ref_lkeys, ref_rkeys = reference_amplitude_matrix(wider, cut)
+        assert mat.tobytes() == ref.tobytes() and (lkeys, rkeys) == (ref_lkeys, ref_rkeys)
 
 
 # -- internal marginals ----------------------------------------------------------

@@ -2,7 +2,7 @@
 
 import pytest
 
-from superselect.charges import ChargeVector
+from superselect.charges import ChargeVector, Species, SpeciesRegistry
 from superselect.errors import ConfigurationError, DomainError, UnknownSpeciesError
 from superselect.fock import (
     BasisState,
@@ -150,6 +150,14 @@ def test_sectors_partition_the_basis(registry, n):
         recovered.extend(part)
     assert sorted(recovered) == sorted(everything)
     assert len(recovered) == len(set(recovered)), "sectors must not overlap"
+
+
+def test_total_charge_rejects_charge_arity_mismatch():
+    # registries are permissive on construction; the sum must still refuse
+    reg = electron_positron_registry(1)
+    reg = SpeciesRegistry(reg.charge_specs, reg.species + [Species("x", ChargeVector((0, 0)), 1, "x")])
+    with pytest.raises(ConfigurationError, match="arity mismatch: 1 vs 2"):
+        total_charge(reg, B(("e-", 0), ("x", 0)))
 
 
 def test_total_charge_equals_fold_of_species_charges():
