@@ -34,8 +34,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .charges import SpeciesRegistry
-from .entangle import CutPlan, every_cut_entangled, is_packaged_entangled
-from .errors import ConfigurationError, DomainError, SimulatorError
+from .entangle import CutPlan, every_cut_entangled
+from .errors import ConfigurationError, DomainError
 from .fock import BasisState, SectorIndex, sector_basis
 from .states import StateVector, coordinates, from_coordinates
 
@@ -173,8 +173,8 @@ def build_packaged_entangled_basis(
 
 
 def _deviations(basis: EntangledBasis, product_basis: list[BasisState]):
-    """Gram matrix minus identity of the vectors' sector coordinates, and the
-    Frobenius deviation of their span projector from the sector projector.
+    """The vectors' sector coordinates as columns, their Gram matrix minus identity,
+    and the Frobenius deviation of their span projector from the sector projector.
 
     VV^dagger is d x d whatever the vector count, so span deficiency is
     visible even when vectors are missing (projector rank < d).
@@ -182,11 +182,16 @@ def _deviations(basis: EntangledBasis, product_basis: list[BasisState]):
     mat = np.column_stack([coordinates(v, product_basis) for v in basis.vectors])
     gram_dev = mat.conj().T @ mat - np.eye(basis.dimension)
     span_dev = float(np.linalg.norm(mat @ mat.conj().T - np.eye(len(product_basis))))
-    return gram_dev, span_dev
+    return mat, gram_dev, span_dev
 
 
 def verify_basis(basis: EntangledBasis, registry: SpeciesRegistry, allowed=None) -> list[str]:
-    """Independent recheck of every EntangledBasis invariant; empty list iff all hold."""
+    """Independent recheck of every EntangledBasis invariant; empty list iff all hold.
+
+    The sector is enumerated afresh; coordinates in it prove membership and the
+    Gram diagonal checks norms, so one every-cut check over its index plan gives
+    the entanglement verdicts (a zero vector is not entangled).
+    """
     findings: list[str] = []
     product_basis = sector_basis(registry, basis.n, basis.sector, allowed=allowed)
     d = len(product_basis)
@@ -194,7 +199,7 @@ def verify_basis(basis: EntangledBasis, registry: SpeciesRegistry, allowed=None)
         findings.append(f"vector count {basis.dimension} != sector dimension {d}")
 
     try:
-        gram_dev, span_dev = _deviations(basis, product_basis)
+        mat, gram_dev, span_dev = _deviations(basis, product_basis)
     except DomainError as exc:  # support outside the sector
         findings.append(f"vectors are not expressible in the sector basis: {exc}")
         return findings
@@ -211,13 +216,9 @@ def verify_basis(basis: EntangledBasis, registry: SpeciesRegistry, allowed=None)
             f"span projector deviates from sector projector by {span_dev:.3e} (Frobenius)"
         )
 
-    for k, vec in enumerate(basis.vectors):
-        try:
-            report = is_packaged_entangled(registry, vec)
-        except SimulatorError as exc:
-            findings.append(f"vector {k}: entanglement predicate not evaluable ({exc})")
-            continue
-        if not report.entangled and k not in basis.separable_indices:
+    verdicts = every_cut_entangled(CutPlan(product_basis, basis.n), mat)
+    for k, entangled in enumerate(verdicts):
+        if not entangled and k not in basis.separable_indices:
             findings.append(f"vector {k} fails the entanglement predicate but is not flagged")
     if basis.separable_indices and not basis.degenerate:
         findings.append("separable vectors present but degenerate flag not set")
@@ -233,7 +234,7 @@ def basis_metrics(basis: EntangledBasis, registry: SpeciesRegistry, allowed=None
     product_basis = basis.product_basis
     if product_basis is None:
         product_basis = sector_basis(registry, basis.n, basis.sector, allowed=allowed)
-    gram_dev, span_dev = _deviations(basis, product_basis)
+    _, gram_dev, span_dev = _deviations(basis, product_basis)
     d = len(product_basis)
     return {
         "dimension": d,

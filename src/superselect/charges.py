@@ -243,5 +243,10 @@ def save_registry(registry: SpeciesRegistry, path: str) -> None:
 
 
 def load_registry(path: str) -> SpeciesRegistry:
+    """Read a registry file; any ``validate_registry`` violation refuses it."""
     with open(path, "r", encoding="utf-8") as fh:
-        return SpeciesRegistry.from_dict(json.load(fh))
+        registry = SpeciesRegistry.from_dict(json.load(fh))
+    violations = validate_registry(registry)
+    if violations:
+        raise ConfigurationError(f"invalid registry {path}: {'; '.join(violations)}")
+    return registry

@@ -18,7 +18,7 @@ import numpy as np
 
 from .charges import SpeciesRegistry
 from .errors import DomainError
-from .states import NORM_TOL, StateVector, require_single_sector
+from .states import StateVector, require_normalized, require_single_sector
 
 #: Singular values at or below this fraction of the largest count as zero.
 RANK_REL_TOL = 1e-9
@@ -68,11 +68,6 @@ def all_bipartitions(n: int) -> list[Bipartition]:
         for extra in itertools.combinations(rest, r):
             cuts.append(Bipartition.from_left({0, *extra}, n))
     return cuts
-
-
-def _check_normalized(vec: StateVector) -> None:
-    if abs(vec.norm() - 1.0) > NORM_TOL:
-        raise DomainError(f"state is not normalized (norm {vec.norm():.12g})")
 
 
 def _check_cut(vec: StateVector, cut: Bipartition) -> None:
@@ -192,7 +187,7 @@ def _spectra(vec: StateVector, cuts) -> list[SchmidtResult]:
 
 def cut_spectra(vec: StateVector, cuts) -> list[SchmidtResult]:
     """Schmidt spectrum across each of ``cuts``, in order, from one index plan."""
-    _check_normalized(vec)
+    require_normalized(vec)
     return _spectra(vec, cuts)
 
 
@@ -244,7 +239,7 @@ def predicate_report(predicate: str, n: int, ranks: dict[tuple[int, ...], int]) 
 
 
 def _rank_report(registry: SpeciesRegistry, vec: StateVector, predicate: str) -> EntanglementReport:
-    _check_normalized(vec)
+    require_normalized(vec)
     require_single_sector(registry, vec)
     cuts = all_bipartitions(vec.n)
     ranks = {cut.key(): result.rank for cut, result in zip(cuts, _spectra(vec, cuts))}
@@ -339,7 +334,7 @@ def internal_charge_marginal(
     anti-correlated spin branches decohere the marginal while equal-spin
     branches keep it pure.
     """
-    _check_normalized(vec)
+    require_normalized(vec)
     if cut is not None:
         _check_cut(vec, cut)
     n = vec.n

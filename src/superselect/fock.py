@@ -15,8 +15,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .charges import ChargeVector, SpeciesRegistry
+from .charges import ChargeVector, Species, SpeciesRegistry
 from .errors import ConfigurationError, DomainError
+
+#: Largest product space ``enumerate_basis`` will list: len(alphabet) ** n.
+MAX_PRODUCT_STATES = 2**20
 
 
 @dataclass(frozen=True, order=True)
@@ -58,13 +61,15 @@ def sector_of(registry: SpeciesRegistry, total: ChargeVector) -> SectorIndex:
     return SectorIndex(tuple(total.components[i] for i in registry.gauged_indices()))
 
 
-def validate_label(registry: SpeciesRegistry, label: RegisterLabel) -> None:
+def validate_label(registry: SpeciesRegistry, label: RegisterLabel) -> Species:
+    """The label's species, after checking that its spin index is in range."""
     species = registry.get(label.species_id)
     if not 0 <= label.spin < species.spin_multiplicity:
         raise DomainError(
             f"spin index {label.spin} out of range for species {label.species_id!r} "
             f"(multiplicity {species.spin_multiplicity})"
         )
+    return species
 
 
 def register_alphabet(registry: SpeciesRegistry, allowed=None) -> list[RegisterLabel]:
@@ -89,6 +94,13 @@ def enumerate_basis(registry: SpeciesRegistry, n: int, allowed=None) -> list[Bas
     if n < 1:
         raise ConfigurationError(f"register count must be >= 1, got {n}")
     alphabet = register_alphabet(registry, allowed)
+    # an alphabet of two or more labels passes the limit within bit_length
+    # registers, so capping the exponent keeps the comparison exact and cheap
+    if len(alphabet) ** min(n, MAX_PRODUCT_STATES.bit_length()) > MAX_PRODUCT_STATES:
+        raise ConfigurationError(
+            f"refusing to enumerate {len(alphabet)}**{n} product states "
+            f"(n={n}, alphabet size {len(alphabet)}): the limit is {MAX_PRODUCT_STATES}"
+        )
     return [BasisState(labels) for labels in itertools.product(alphabet, repeat=n)]
 
 
@@ -96,8 +108,7 @@ def total_charge(registry: SpeciesRegistry, state: BasisState) -> ChargeVector:
     """Componentwise sum of the species charges over all registers."""
     total = [0] * registry.arity
     for label in state.labels:
-        validate_label(registry, label)
-        charges = registry.get(label.species_id).charges.components
+        charges = validate_label(registry, label).charges.components
         if len(charges) != len(total):
             raise ConfigurationError(f"charge arity mismatch: {len(total)} vs {len(charges)}")
         total = [a + b for a, b in zip(total, charges)]

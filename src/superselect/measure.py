@@ -15,12 +15,7 @@ import numpy as np
 from .charges import SpeciesRegistry
 from .errors import ConfigurationError, DomainError
 from .fock import BasisState, RegisterLabel, SectorIndex
-from .states import (
-    NORM_TOL,
-    StateVector,
-    normalize,
-    require_single_sector,
-)
+from .states import StateVector, normalize, require_normalized, require_single_sector
 
 UNITARITY_TOL = 1e-10
 
@@ -79,8 +74,7 @@ def measure_spin(
     renormalized and stays in the input's sector exactly (projection never
     touches species labels).
     """
-    if abs(vec.norm() - 1.0) > NORM_TOL:
-        raise DomainError(f"state is not normalized (norm {vec.norm():.12g})")
+    require_normalized(vec)
     require_single_sector(registry, vec)
     r = obs.register
     if not 0 <= r < vec.n:

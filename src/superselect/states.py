@@ -22,7 +22,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .charges import GAUGED, SpeciesRegistry
-from .errors import ConfigurationError, DomainError, ShapeError
+from .errors import ConfigurationError, DomainError, ShapeError, SuperselectionError
 from .fock import BasisState, RegisterLabel, SectorIndex, state_sector, validate_label
 
 #: Amplitudes with magnitude below this are dropped from term maps.
@@ -81,8 +81,8 @@ class StateVector:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def is_normalized(self, tol: float = NORM_TOL) -> bool:
-        return abs(self.norm() - 1.0) <= tol
+    def is_normalized(self) -> bool:
+        return abs(self.norm() - 1.0) <= NORM_TOL
 
     def __len__(self) -> int:
         return len(self._terms)
@@ -119,6 +119,12 @@ def superpose(pairs) -> StateVector:
 
 def scale(coef: complex, vec: StateVector) -> StateVector:
     return superpose([(coef, vec)])
+
+
+def require_normalized(vec: StateVector) -> None:
+    """The normalization check every physical entry point runs, before any sector check."""
+    if not vec.is_normalized():
+        raise DomainError(f"state is not normalized (norm {vec.norm():.12g})")
 
 
 def normalize(vec: StateVector) -> StateVector:
@@ -181,19 +187,20 @@ class SuperselectionReport:
 
 
 def validate_superselection(registry: SpeciesRegistry, vec: StateVector):
-    """Return the unique SectorIndex of a one-sector state, else a SuperselectionReport."""
+    """Return the unique SectorIndex of a one-sector state, else a SuperselectionReport
+    whose weights sum each sector's |amp|^2 in term order, bitwise as sector_decompose."""
     if vec.is_zero():
         raise DomainError("superselection is undefined for the zero state")
-    decomp = sector_decompose(registry, vec)
-    if len(decomp.parts) == 1:
-        return next(iter(decomp.parts))
-    return SuperselectionReport(decomp.weights())
+    weights: dict[SectorIndex, list[float]] = {}
+    for state, amp in vec.terms.items():
+        weights.setdefault(state_sector(registry, state), []).append(abs(amp) ** 2)
+    if len(weights) == 1:
+        return next(iter(weights))
+    return SuperselectionReport({q: sum(w) for q, w in sorted(weights.items())})
 
 
 def require_single_sector(registry: SpeciesRegistry, vec: StateVector) -> SectorIndex:
     """validate_superselection, hardened: raises on a cross-sector state."""
-    from .errors import SuperselectionError
-
     verdict = validate_superselection(registry, vec)
     if isinstance(verdict, SuperselectionReport):
         raise SuperselectionError(verdict.describe())

@@ -24,6 +24,7 @@ from superselect.states import (
     from_coordinates,
     inner_product,
     max_term_deviation,
+    normalize,
     superpose,
 )
 
@@ -193,6 +194,70 @@ def test_batched_column_check_matches_per_column_predicate(registry, n, sector):
         states = [from_coordinates(columns[:, k], basis) for k in range(d)]
         assert verdicts == [is_packaged_entangled(registry, s).entangled for s in states]
         assert verdicts == [oracle_packaged_entangled(s) for s in states]
+
+
+def _reference_entanglement_findings(basis, registry):
+    """``verify_basis``'s entanglement findings from the public predicate, one
+    vector at a time: a vector outside the sector ends verification before any
+    verdict, a zero vector is not entangled, any other is judged normalized."""
+    sector = set(sector_basis(registry, basis.n, basis.sector))
+    if any(not set(vec.terms) <= sector for vec in basis.vectors):
+        return []
+    findings = []
+    for k, vec in enumerate(basis.vectors):
+        entangled = not vec.is_zero() and is_packaged_entangled(registry, normalize(vec)).entangled
+        if not entangled and k not in basis.separable_indices:
+            findings.append(f"vector {k} fails the entanglement predicate but is not flagged")
+    return findings
+
+
+def _break_basis(basis, registry, how):
+    """Damage a builder basis in place; returns the finding the damage must cause."""
+    product_basis = sector_basis(registry, basis.n, basis.sector)
+    product = lambda k: StateVector({product_basis[k]: 1.0})
+    if how == "products":
+        for k in range(0, basis.dimension, 3):
+            basis.vectors[k] = product(k)
+        return "fails the entanglement predicate"
+    if how == "neighbour-pairs":  # neighbours differ in the last registers only
+        for k in range(0, basis.dimension - 1, 2):
+            basis.vectors[k] = superpose([(0.6, product(k)), (0.8, product(k + 1))])
+        return "fails the entanglement predicate"
+    if how == "flagged-product":
+        basis.vectors[0] = product(0)
+        basis.separable_indices, basis.degenerate = [0], True
+        return "orthogonality deviation"
+    if how == "outside":
+        other = next(q for q in attained_sectors(registry, basis.n) if q != basis.sector)
+        basis.vectors[1] = StateVector({sector_basis(registry, basis.n, other)[0]: 1.0})
+        return "not expressible in the sector basis"
+    if how == "scaled":
+        basis.vectors[0] = superpose([(3.0, basis.vectors[0])])
+        return "norm deviation"
+    if how == "scaled-product":
+        basis.vectors[0] = superpose([(3.0, product(0))])
+        return "fails the entanglement predicate"
+    assert how == "zero"
+    basis.vectors[1] = StateVector({}, n=basis.n)
+    return "norm deviation"
+
+
+@pytest.mark.parametrize("how", [
+    "products", "neighbour-pairs", "flagged-product", "outside", "scaled", "scaled-product", "zero",
+])
+@pytest.mark.parametrize("registry, n, sector", [
+    (electron_positron_registry(1), 4, (0,)),
+    (electron_positron_registry(2), 3, (1,)),
+    (color_toy_registry(), 3, (-1,)),
+    (dyon_registry(), 3, (1, 1)),
+], ids=["ep-n4", "ep-spin2-n3", "colour-n3", "dyon-n3"])
+def test_verify_basis_entanglement_findings_match_per_vector_predicate(registry, n, sector, how):
+    basis = build_packaged_entangled_basis(registry, n, sector)
+    expected_finding = _break_basis(basis, registry, how)
+    findings = verify_basis(basis, registry)
+    assert any(expected_finding in f for f in findings), findings
+    entanglement = [f for f in findings if "entanglement predicate" in f]
+    assert entanglement == _reference_entanglement_findings(basis, registry)
 
 
 def test_metrics_reuse_the_builders_product_basis(ep, monkeypatch):

@@ -175,3 +175,42 @@ def test_registry_loading_rejects_missing_field(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(ConfigurationError, match="conjugate_id"):
         load_registry(str(path))
+
+
+@pytest.mark.parametrize("extra, message", [
+    ({"id": "x", "charges": [0], "spin_multiplicity": 1, "conjugate_id": "y"},
+     "species 'x': dangling conjugate_id 'y'"),
+    ({"id": "x", "charges": [0, 0], "spin_multiplicity": 1, "conjugate_id": "x"},
+     "species 'x': charge arity 2 != registry arity 1"),
+], ids=["dangling-conjugate", "arity-mismatch"])
+def test_registry_loading_runs_validation(tmp_path, extra, message):
+    doc = electron_positron_registry(1).to_dict()
+    doc["species"].append(extra)
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigurationError) as excinfo:
+        load_registry(str(path))
+    assert str(excinfo.value) == f"invalid registry {path}: {message}"
+    # built in memory, the same registry stays inspectable
+    assert validate_registry(SpeciesRegistry.from_dict(doc)) == [message]
+
+
+def test_registry_loading_lists_every_violation_on_one_line(tmp_path):
+    doc = electron_positron_registry(1).to_dict()
+    doc["species"][0]["conjugate_id"] = "nobody"
+    doc["species"][1]["charges"] = [1, 0]
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigurationError) as excinfo:
+        load_registry(str(path))
+    text = str(excinfo.value)
+    assert "\n" not in text
+    assert text.count("; ") == len(validate_registry(SpeciesRegistry.from_dict(doc))) - 1
+    assert "dangling conjugate_id 'nobody'" in text and "charge arity 2" in text
+
+
+def test_every_builtin_registry_loads(tmp_path):
+    for k, reg in enumerate(ALL_REGISTRIES):
+        path = tmp_path / f"reg{k}.json"
+        save_registry(reg, str(path))
+        assert load_registry(str(path)).to_dict() == reg.to_dict()

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import superselect.fock as fock
 from superselect.charges import save_registry
 from superselect.cli import main
 from superselect.entangle import (
@@ -267,6 +268,47 @@ def test_malformed_input_exits_1_naming_the_field(capsys, workdir, command, docu
     assert code == 1 and out == ""
     assert err.startswith("superselect: error:") and err.count("\n") == 1
     assert field in err
+
+
+_BROKEN_SPECIES = {
+    "dangling-conjugate": ({"id": "x", "charges": [0], "spin_multiplicity": 1, "conjugate_id": "y"},
+                           "dangling conjugate_id"),
+    "arity-mismatch": ({"id": "x", "charges": [0, 0], "spin_multiplicity": 1, "conjugate_id": "x"},
+                       "charge arity"),
+}
+
+
+@pytest.mark.parametrize("command", [
+    ("validate", "--state", "bell_plus.json"),
+    ("entangle", "--state", "bell_plus.json"),
+    ("conjugate", "--state", "bell_plus.json"),
+    ("basis", "--registers", "2", "--charge", "0"),
+], ids=lambda c: c[0])
+@pytest.mark.parametrize("broken", sorted(_BROKEN_SPECIES))
+def test_invalid_registry_exits_1_at_load(capsys, workdir, command, broken):
+    species, field = _BROKEN_SPECIES[broken]
+    doc = electron_positron_registry(1).to_dict()
+    doc["species"].append(species)
+    path = workdir / "broken.json"
+    path.write_text(json.dumps(doc))
+    args = [str(workdir / a) if a.endswith(".json") else a for a in command[1:]]
+    code, out, err = run(capsys, command[0], "--registry", str(path), *args,
+                         *(["--out", str(workdir / "b")] if command[0] == "basis" else []))
+    assert code == 1 and out == ""
+    assert err.startswith(f"superselect: error: invalid registry {path}:") and err.count("\n") == 1
+    assert "species 'x'" in err and field in err
+    assert not (workdir / "b").exists()
+
+
+def test_oversized_enumeration_exits_1(capsys, workdir, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumeration started past the size limit")
+
+    monkeypatch.setattr(fock.itertools, "product", refuse)
+    code, out, err = run(capsys, "basis", "--registry", str(workdir / "ep.json"),
+                         "--registers", "21", "--charge", "1", "--out", str(workdir / "b"))
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and "n=21, alphabet size 2" in err and "1048576" in err
 
 
 def test_unknown_subcommand_exits_1():

@@ -2,6 +2,7 @@
 
 import pytest
 
+import superselect.fock as fock
 from superselect.charges import ChargeVector, Species, SpeciesRegistry
 from superselect.errors import ConfigurationError, DomainError, UnknownSpeciesError
 from superselect.fock import (
@@ -13,6 +14,7 @@ from superselect.fock import (
     sector_basis,
     state_sector,
     total_charge,
+    validate_label,
 )
 from superselect.scenarios import electron_positron_registry, neutral_kaon_registry
 
@@ -167,6 +169,44 @@ def test_total_charge_equals_fold_of_species_charges():
         for label in b.labels:
             folded = folded + reg.get(label.species_id).charges
         assert total_charge(reg, b) == folded
+
+
+def test_total_charge_looks_each_label_up_once(monkeypatch):
+    reg = two_family_registry()
+    looked_up = []
+    lookup = reg.get
+    monkeypatch.setattr(reg, "get", lambda sid: looked_up.append(sid) or lookup(sid))
+    assert total_charge(reg, B(("e-", 0), ("mu+", 0), ("e-", 0))) == ChargeVector((-1,))
+    assert looked_up == ["e-", "mu+", "e-"]
+    assert validate_label(reg, RegisterLabel("mu+", 0)) is lookup("mu+")
+
+
+def test_enumeration_size_guard_refuses_before_enumerating(monkeypatch):
+    reg = electron_positron_registry(1)  # two labels per register
+    assert fock.MAX_PRODUCT_STATES == 2**20
+    monkeypatch.setattr(fock, "MAX_PRODUCT_STATES", 16)
+    assert len(enumerate_basis(reg, 4)) == 16  # exactly at the limit
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumeration started past the size limit")
+
+    monkeypatch.setattr(fock.itertools, "product", refuse)
+    for n in (5, 10**9):  # the check must not compute 2**n in full
+        with pytest.raises(ConfigurationError, match=rf"n={n}, alphabet size 2\): the limit is 16$"):
+            enumerate_basis(reg, n)
+    with pytest.raises(ConfigurationError, match="the limit is 16$"):
+        sector_basis(reg, 5, (1,))
+
+
+def test_enumeration_size_guard_at_the_default_limit(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumeration started past the size limit")
+
+    monkeypatch.setattr(fock.itertools, "product", refuse)
+    # 2**21 and 4**11 = 2**22 both exceed 2**20
+    for reg, n, size in ((electron_positron_registry(1), 21, 2), (two_family_registry(), 11, 4)):
+        with pytest.raises(ConfigurationError, match=rf"n={n}, alphabet size {size}\): the limit is 1048576"):
+            enumerate_basis(reg, n)
 
 
 def test_sector_index_formatting():

@@ -5,9 +5,28 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from superselect.errors import ConfigurationError, DomainError, ShapeError
-from superselect.fock import BasisState, RegisterLabel, SectorIndex
+from superselect.entangle import (
+    Bipartition,
+    all_bipartitions,
+    cut_spectra,
+    entanglement_entropy,
+    internal_charge_marginal,
+    is_entangled_somewhere,
+    is_packaged_entangled,
+    schmidt,
+)
+from superselect.errors import ConfigurationError, DomainError, ShapeError, SuperselectionError
+from superselect.fock import (
+    BasisState,
+    RegisterLabel,
+    SectorIndex,
+    attained_sectors,
+    sector_basis,
+    state_sector,
+)
+from superselect.measure import measure_spin, sample_measurement, spin_z_observable
 from superselect.scenarios import build_scenario, electron_positron_registry
 from superselect.states import (
     StateVector,
@@ -20,6 +39,7 @@ from superselect.states import (
     load_state,
     max_term_deviation,
     normalize,
+    require_single_sector,
     save_state,
     sector_decompose,
     state_from_dict,
@@ -28,7 +48,12 @@ from superselect.states import (
     validate_superselection,
 )
 
-from helpers import dyon_registry, random_single_sector_state, two_family_registry
+from helpers import (
+    dyon_registry,
+    lepton_photon_registry,
+    random_single_sector_state,
+    two_family_registry,
+)
 
 ROOT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -166,6 +191,80 @@ def test_validate_superselection_accepts_flavor_superposition():
 def test_validate_superselection_zero_state(ep):
     with pytest.raises(DomainError):
         validate_superselection(ep, StateVector({}, n=2))
+
+
+_SECTOR_REGISTRIES = [lepton_photon_registry(), two_family_registry(), dyon_registry()]
+
+
+@st.composite
+def states_over_sectors(draw):
+    """A registry from tests/helpers.py and a state over 1-3 of its sectors."""
+    registry = draw(st.sampled_from(_SECTOR_REGISTRIES))
+    n = draw(st.integers(1, 3))
+    sectors = attained_sectors(registry, n)
+    chosen = draw(st.lists(st.sampled_from(sectors), min_size=1, max_size=3, unique=True))
+    part = st.floats(-1.0, 1.0, allow_nan=False)
+    terms = {}
+    for sector in chosen:
+        basis = sector_basis(registry, n, sector)
+        for state in draw(st.lists(st.sampled_from(basis), min_size=1, max_size=6, unique=True)):
+            terms[state] = complex(draw(part), draw(part))
+    return registry, StateVector(terms, n=n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(states_over_sectors())
+def test_validate_superselection_matches_sector_decompose(case):
+    registry, vec = case
+    if vec.is_zero():  # every drawn amplitude pruned
+        return
+    sectors = {state_sector(registry, state) for state in vec.terms}
+    verdict = validate_superselection(registry, vec)
+    if len(sectors) == 1:
+        assert verdict == next(iter(sectors))
+        assert require_single_sector(registry, vec) == verdict
+        return
+    assert isinstance(verdict, SuperselectionReport)
+    weights = sector_decompose(registry, vec).weights()
+    # equal floats in equal order: both sum each sector's terms in term order
+    assert list(verdict.sector_weights.items()) == list(weights.items())
+    assert sorted(verdict.sector_weights) == sorted(sectors)
+    assert abs(sum(verdict.sector_weights.values()) - vec.norm() ** 2) <= 1e-12
+    with pytest.raises(SuperselectionError) as excinfo:
+        require_single_sector(registry, vec)
+    assert str(excinfo.value) == verdict.describe()
+
+
+_CUT = Bipartition.from_left({0}, 2)
+_ADMISSION_ENTRY_POINTS = {
+    "cut_spectra": lambda reg, vec: cut_spectra(vec, all_bipartitions(vec.n)),
+    "schmidt": lambda reg, vec: schmidt(vec, _CUT),
+    "entanglement_entropy": lambda reg, vec: entanglement_entropy(vec, _CUT),
+    "is_packaged_entangled": is_packaged_entangled,
+    "is_entangled_somewhere": is_entangled_somewhere,
+    "internal_charge_marginal": lambda reg, vec: internal_charge_marginal(reg, vec, _CUT),
+    "measure_spin": lambda reg, vec: measure_spin(reg, vec, spin_z_observable(reg, 0)),
+    "sample_measurement": lambda reg, vec: sample_measurement(
+        reg, vec, spin_z_observable(reg, 0), seed=0
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_ADMISSION_ENTRY_POINTS))
+def test_entry_points_check_the_norm_first_with_one_message(ep, entry):
+    admit = _ADMISSION_ENTRY_POINTS[entry]
+    single = StateVector({EM_EP: 2 * ROOT_HALF, EP_EM: 2 * ROOT_HALF})
+    cross = StateVector({EM_EM: math.sqrt(2.0), EP_EP: math.sqrt(2.0)})
+    assert isinstance(validate_superselection(ep, cross), SuperselectionReport)
+    for vec in (single, cross):
+        with pytest.raises(DomainError) as excinfo:
+            admit(ep, vec)
+        assert str(excinfo.value) == "state is not normalized (norm 2)"
+
+
+def test_is_normalized_uses_the_norm_tolerance():
+    assert StateVector({EM_EP: 1.0 + 1e-10}).is_normalized()
+    assert not StateVector({EM_EP: 1.0 + 1e-8}).is_normalized()
 
 
 def test_gauge_action_trivial_on_neutral_sector(ep, bell_pair):
