@@ -72,6 +72,7 @@ from .measure import (
     measure_spin,
     read_sector_charge,
     sample_measurement,
+    sample_measurements,
     spin_z_observable,
 )
 from .scenarios import SCENARIO_NAMES, Expectation, build_scenario

@@ -177,9 +177,12 @@ def _deviations(basis: EntangledBasis, product_basis: list[BasisState]):
     and the Frobenius deviation of their span projector from the sector projector.
 
     VV^dagger is d x d whatever the vector count, so span deficiency is
-    visible even when vectors are missing (projector rank < d).
+    visible even when vectors are missing (projector rank < d), down to no
+    vectors at all: a (d, 0) matrix.
     """
-    mat = np.column_stack([coordinates(v, product_basis) for v in basis.vectors])
+    mat = np.zeros((len(product_basis), len(basis.vectors)), dtype=complex)
+    for k, vec in enumerate(basis.vectors):
+        mat[:, k] = coordinates(vec, product_basis)
     gram_dev = mat.conj().T @ mat - np.eye(basis.dimension)
     span_dev = float(np.linalg.norm(mat @ mat.conj().T - np.eye(len(product_basis))))
     return mat, gram_dev, span_dev
@@ -238,7 +241,7 @@ def basis_metrics(basis: EntangledBasis, registry: SpeciesRegistry, allowed=None
     d = len(product_basis)
     return {
         "dimension": d,
-        "max_gram_deviation": float(np.max(np.abs(gram_dev))),
+        "max_gram_deviation": float(np.max(np.abs(gram_dev), initial=0.0)),
         "span_frobenius_deviation": span_dev if basis.dimension == d else None,
         "entangled_count": sum(
             1 for k in range(basis.dimension) if k not in basis.separable_indices

@@ -65,11 +65,19 @@ def validate_label(registry: SpeciesRegistry, label: RegisterLabel) -> Species:
     """The label's species, after checking that its spin index is in range."""
     species = registry.get(label.species_id)
     if not 0 <= label.spin < species.spin_multiplicity:
-        raise DomainError(
-            f"spin index {label.spin} out of range for species {label.species_id!r} "
-            f"(multiplicity {species.spin_multiplicity})"
-        )
+        raise _spin_range_error(label, species.spin_multiplicity)
     return species
+
+
+def _spin_range_error(label: RegisterLabel, multiplicity: int) -> DomainError:
+    return DomainError(
+        f"spin index {label.spin} out of range for species {label.species_id!r} "
+        f"(multiplicity {multiplicity})"
+    )
+
+
+def _arity_error(arity: int, charges: tuple[int, ...]) -> ConfigurationError:
+    return ConfigurationError(f"charge arity mismatch: {arity} vs {len(charges)}")
 
 
 def register_alphabet(registry: SpeciesRegistry, allowed=None) -> list[RegisterLabel]:
@@ -110,13 +118,57 @@ def total_charge(registry: SpeciesRegistry, state: BasisState) -> ChargeVector:
     for label in state.labels:
         charges = validate_label(registry, label).charges.components
         if len(charges) != len(total):
-            raise ConfigurationError(f"charge arity mismatch: {len(total)} vs {len(charges)}")
+            raise _arity_error(len(total), charges)
         total = [a + b for a, b in zip(total, charges)]
     return ChargeVector(tuple(total))
 
 
 def state_sector(registry: SpeciesRegistry, state: BasisState) -> SectorIndex:
     return sector_of(registry, total_charge(registry, state))
+
+
+class SpeciesTable:
+    """One call's species lookup: species id -> (spin multiplicity, gauged charges).
+
+    A row is filled on first sight of its species, and the table is made by
+    the call that uses it and dropped with it, so it never outlives a change
+    to the registry. ``sector_charges`` equals ``state_sector(...).gauged_charges``
+    and raises what ``total_charge`` raises for the first bad label: unknown
+    species, then spin range, then charge arity.
+    """
+
+    __slots__ = ("_registry", "_gauged", "_zero", "_rows")
+
+    def __init__(self, registry: SpeciesRegistry):
+        self._registry = registry
+        self._gauged = registry.gauged_indices()
+        self._zero = (0,) * len(self._gauged)
+        self._rows: dict[str, tuple[int, tuple[int, ...] | None, tuple[int, ...]]] = {}
+
+    def _row(self, species_id: str):
+        species = self._registry.get(species_id)  # raises UnknownSpeciesError
+        charges = species.charges.components
+        gauged = (
+            tuple(charges[i] for i in self._gauged)
+            if len(charges) == self._registry.arity
+            else None  # refused after the label's spin check, as total_charge orders it
+        )
+        row = self._rows[species_id] = (species.spin_multiplicity, gauged, charges)
+        return row
+
+    def sector_charges(self, state: BasisState) -> tuple[int, ...]:
+        """The gauged net charge of one basis state, as a plain tuple."""
+        picked = [self._zero]
+        for label in state.labels:
+            multiplicity, gauged, charges = (
+                self._rows.get(label.species_id) or self._row(label.species_id)
+            )
+            if not 0 <= label.spin < multiplicity:
+                raise _spin_range_error(label, multiplicity)
+            if gauged is None:
+                raise _arity_error(self._registry.arity, charges)
+            picked.append(gauged)
+        return tuple(map(sum, zip(*picked)))
 
 
 def _coerce_sector(registry: SpeciesRegistry, sector) -> SectorIndex:
@@ -132,10 +184,13 @@ def _coerce_sector(registry: SpeciesRegistry, sector) -> SectorIndex:
 
 def sector_basis(registry: SpeciesRegistry, n: int, sector, allowed=None) -> list[BasisState]:
     """The sublist of ``enumerate_basis`` with gauged net charge equal to ``sector``."""
-    sector = _coerce_sector(registry, sector)
-    return [b for b in enumerate_basis(registry, n, allowed) if state_sector(registry, b) == sector]
+    target = _coerce_sector(registry, sector).gauged_charges
+    table = SpeciesTable(registry)
+    return [b for b in enumerate_basis(registry, n, allowed) if table.sector_charges(b) == target]
 
 
 def attained_sectors(registry: SpeciesRegistry, n: int, allowed=None) -> list[SectorIndex]:
     """Sorted list of the sectors attained by some basis state."""
-    return sorted({state_sector(registry, b) for b in enumerate_basis(registry, n, allowed)})
+    table = SpeciesTable(registry)
+    charges = {table.sector_charges(b) for b in enumerate_basis(registry, n, allowed)}
+    return [SectorIndex(q) for q in sorted(charges)]

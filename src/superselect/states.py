@@ -23,7 +23,7 @@ import numpy as np
 
 from .charges import GAUGED, SpeciesRegistry
 from .errors import ConfigurationError, DomainError, ShapeError, SuperselectionError
-from .fock import BasisState, RegisterLabel, SectorIndex, state_sector, validate_label
+from .fock import BasisState, RegisterLabel, SectorIndex, SpeciesTable, validate_label
 
 #: Amplitudes with magnitude below this are dropped from term maps.
 PRUNE_TOL = 1e-12
@@ -38,7 +38,8 @@ class StateVector:
     ----------
     terms:
         Mapping from BasisState to complex amplitude. Entries with magnitude
-        below :data:`PRUNE_TOL` are discarded.
+        below :data:`PRUNE_TOL` are discarded; a non-finite amplitude raises
+        :class:`DomainError`.
     n:
         Register count. Required when ``terms`` is empty (the zero state);
         otherwise inferred and cross-checked against every key.
@@ -47,14 +48,28 @@ class StateVector:
     __slots__ = ("_terms", "n")
 
     def __init__(self, terms, n: int | None = None):
+        self._fill(terms.items(), n)
+
+    @classmethod
+    def _from_pairs(cls, pairs, n: int) -> "StateVector":
+        """The constructor's result for ``(state, amplitude)`` pairs over distinct
+        states, without building a mapping first."""
+        vec = cls.__new__(cls)
+        vec._fill(pairs, n)
+        return vec
+
+    def _fill(self, pairs, n: int | None) -> None:
         pruned: dict[BasisState, complex] = {}
-        for state, amp in terms.items():
+        for state, amp in pairs:
             if n is None:
                 n = state.n
             elif state.n != n:
                 raise ShapeError(f"mixed register counts: {state.n} vs {n}")
             amp = complex(amp)
-            if abs(amp) >= PRUNE_TOL:
+            size = abs(amp)  # inf if either part is, else nan if either part is
+            if not size < math.inf:
+                raise DomainError(f"non-finite amplitude {amp!r} for term {state}")
+            if size >= PRUNE_TOL:
                 pruned[state] = amp
         if n is None:
             raise ShapeError("register count is undefined for an empty term map; pass n")
@@ -76,7 +91,7 @@ class StateVector:
         return self._terms.get(state, 0j)
 
     def norm(self) -> float:
-        return math.sqrt(sum(abs(a) ** 2 for a in self._terms.values()))
+        return amplitude_norm(self._terms.values())
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -100,6 +115,12 @@ class StateVector:
         return f"StateVector[n={self.n}] {inside or '0'}{more}"
 
 
+def amplitude_norm(amplitudes) -> float:
+    """Euclidean norm with the squares summed in the given order; ``StateVector.norm``
+    sums in term order, so a branch kept as bare amplitudes gets the same float."""
+    return math.sqrt(sum(abs(a) ** 2 for a in amplitudes))
+
+
 def superpose(pairs) -> StateVector:
     """Linear combination ``sum(coef * state)`` with term merging and pruning."""
     pairs = list(pairs)
@@ -118,7 +139,16 @@ def superpose(pairs) -> StateVector:
 
 
 def scale(coef: complex, vec: StateVector) -> StateVector:
-    return superpose([(coef, vec)])
+    return scale_pairs(coef, vec.terms.items(), vec.n)
+
+
+def scale_pairs(coef: complex, pairs, n: int) -> StateVector:
+    """``superpose([(coef, vec)])`` bit for bit, given the ``(state, amplitude)``
+    pairs of ``vec``: each product is added to 0j, then pruned."""
+    if coef == 0:
+        return StateVector({}, n=n)
+    coef = complex(coef)
+    return StateVector._from_pairs(((s, 0j + coef * a) for s, a in pairs), n)
 
 
 def require_normalized(vec: StateVector) -> None:
@@ -165,11 +195,12 @@ class SectorDecomposition:
 
 def sector_decompose(registry: SpeciesRegistry, vec: StateVector) -> SectorDecomposition:
     """Split a state into its charge-sector components; reassembly is exact."""
-    groups: dict[SectorIndex, dict[BasisState, complex]] = {}
+    table = SpeciesTable(registry)
+    groups: dict[tuple[int, ...], dict[BasisState, complex]] = {}
     for state, amp in vec.terms.items():
-        groups.setdefault(state_sector(registry, state), {})[state] = amp
+        groups.setdefault(table.sector_charges(state), {})[state] = amp
     parts = {
-        q: (StateVector(terms, n=vec.n), sum(abs(a) ** 2 for a in terms.values()))
+        SectorIndex(q): (StateVector(terms, n=vec.n), sum(abs(a) ** 2 for a in terms.values()))
         for q, terms in sorted(groups.items())
     }
     return SectorDecomposition(parts)
@@ -191,12 +222,14 @@ def validate_superselection(registry: SpeciesRegistry, vec: StateVector):
     whose weights sum each sector's |amp|^2 in term order, bitwise as sector_decompose."""
     if vec.is_zero():
         raise DomainError("superselection is undefined for the zero state")
-    weights: dict[SectorIndex, list[float]] = {}
-    for state, amp in vec.terms.items():
-        weights.setdefault(state_sector(registry, state), []).append(abs(amp) ** 2)
-    if len(weights) == 1:
-        return next(iter(weights))
-    return SuperselectionReport({q: sum(w) for q, w in sorted(weights.items())})
+    table = SpeciesTable(registry)
+    sectors = [table.sector_charges(state) for state in vec.terms]
+    if sectors.count(sectors[0]) == len(sectors):
+        return SectorIndex(sectors[0])
+    weights: dict[tuple[int, ...], list[float]] = {}
+    for q, amp in zip(sectors, vec.terms.values()):
+        weights.setdefault(q, []).append(abs(amp) ** 2)
+    return SuperselectionReport({SectorIndex(q): sum(w) for q, w in sorted(weights.items())})
 
 
 def require_single_sector(registry: SpeciesRegistry, vec: StateVector) -> SectorIndex:

@@ -19,8 +19,10 @@ from superselect.charges import (
     Species,
     SpeciesRegistry,
 )
+from superselect.errors import ConfigurationError, DomainError
 from superselect.fock import BasisState, RegisterLabel, attained_sectors, sector_basis
-from superselect.states import StateVector
+from superselect.measure import MeasurementRecord, SpinObservable
+from superselect.states import StateVector, require_normalized, require_single_sector, superpose
 
 ORACLE_TOL = 1e-9
 
@@ -64,6 +66,21 @@ def dyon_registry() -> SpeciesRegistry:
             Species("d-", ChargeVector((-1, -1)), 1, "d+"),
             Species("w+", ChargeVector((1, -1)), 1, "w-"),
             Species("w-", ChargeVector((-1, 1)), 1, "w+"),
+        ],
+    )
+
+
+def mixed_spin_registry() -> SpeciesRegistry:
+    """Spin multiplicities 1, 2 and 3 side by side, so one register's outcomes
+    outnumber some species' spin states."""
+    return SpeciesRegistry(
+        charge_specs=[ChargeComponentSpec("electric", GAUGED, "e")],
+        species=[
+            Species("e-", ChargeVector((-1,)), 2, "e+"),
+            Species("e+", ChargeVector((1,)), 2, "e-"),
+            Species("w-", ChargeVector((-1,)), 3, "w+"),
+            Species("w+", ChargeVector((1,)), 3, "w-"),
+            Species("gamma", ChargeVector((0,)), 1, "gamma"),
         ],
     )
 
@@ -146,6 +163,102 @@ def reference_amplitude_matrix(vec: StateVector, cut):
         mat[lmap[tuple(state.labels[i] for i in lidx)],
             rmap[tuple(state.labels[i] for i in ridx)]] = amp
     return mat, lkeys, rkeys
+
+
+# -- loop reference for spin measurement ------------------------------------------
+
+def reference_measure_spin(registry, vec: StateVector, obs: SpinObservable):
+    """``measure_spin`` projecting term by term into a BasisState-keyed dict per
+    outcome, every branch built as a StateVector and normalized.
+
+    Probabilities and post states of ``superselect.measure`` must equal this
+    bit for bit, and its errors must match in type and message.
+    """
+    require_normalized(vec)
+    require_single_sector(registry, vec)
+    r = obs.register
+    if not 0 <= r < vec.n:
+        raise DomainError(f"register {r} out of range for n={vec.n}")
+
+    records = []
+    for outcome in range(obs.outcome_count()):
+        projected: dict[BasisState, complex] = {}
+        for state, amp in vec.terms.items():
+            label = state.labels[r]
+            basis = obs.bases.get(label.species_id)
+            if basis is None:
+                raise ConfigurationError(
+                    f"observable has no spin basis for species {label.species_id!r}"
+                )
+            m = basis.shape[0]
+            if label.spin >= m:
+                raise DomainError(
+                    f"spin index {label.spin} outside the {m}-dim basis for {label.species_id!r}"
+                )
+            if outcome >= m:
+                continue  # this species block has no such outcome
+            overlap = np.conj(basis[outcome, label.spin]) * amp
+            if overlap == 0:
+                continue
+            for new_spin in range(m):
+                coef = basis[outcome, new_spin] * overlap
+                if coef == 0:
+                    continue
+                labels = list(state.labels)
+                labels[r] = RegisterLabel(label.species_id, new_spin)
+                key = BasisState(tuple(labels))
+                projected[key] = projected.get(key, 0j) + coef
+        branch = StateVector(projected, n=vec.n)
+        if branch.is_zero():
+            continue
+        prob = branch.norm() ** 2
+        records.append(
+            MeasurementRecord(
+                outcome=outcome, probability=prob, post_state=reference_normalize(branch)
+            )
+        )
+    return records
+
+
+def reference_normalize(vec: StateVector) -> StateVector:
+    """``normalize`` as one ``superpose`` of the state scaled by 1 / norm."""
+    return superpose([(1.0 / vec.norm(), vec)])
+
+
+def reference_sample_measurement(registry, vec: StateVector, obs: SpinObservable, seed: int):
+    """One record drawn from ``reference_measure_spin`` with numpy's cumsum and searchsorted."""
+    records = reference_measure_spin(registry, vec, obs)
+    probs = np.array([r.probability for r in records])
+    edges = np.cumsum(probs)
+    u = np.random.default_rng(seed).random() * edges[-1]
+    idx = int(np.searchsorted(edges, u, side="right"))
+    return records[min(idx, len(records) - 1)]
+
+
+def haar_unitary(rng, m: int) -> np.ndarray:
+    """Haar-random m x m unitary: QR of a complex Gaussian, R's diagonal phases
+    moved into Q (Mezzadri 2007)."""
+    z = (rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))) / np.sqrt(2.0)
+    q, r = np.linalg.qr(z)
+    diag = np.diag(r)
+    return q * (diag / np.abs(diag))
+
+
+def haar_observable(rng, registry, register: int) -> SpinObservable:
+    """A spin observable with an independent Haar-random basis per species."""
+    return SpinObservable(
+        register=register,
+        bases={s.id: haar_unitary(rng, s.spin_multiplicity) for s in registry.species},
+    )
+
+
+def record_bits(record: MeasurementRecord):
+    """A record as exact bits: outcome, probability and post-state terms in term order."""
+    return (
+        record.outcome,
+        record.probability.hex(),
+        [(state, amp.real.hex(), amp.imag.hex()) for state, amp in record.post_state.terms.items()],
+    )
 
 
 # -- random single-sector states --------------------------------------------------

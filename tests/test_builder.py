@@ -5,6 +5,7 @@ import pytest
 
 from superselect.builder import (
     BuilderConfig,
+    EntangledBasis,
     _haar_unitary,
     basis_metrics,
     build_packaged_entangled_basis,
@@ -12,7 +13,7 @@ from superselect.builder import (
 )
 from superselect.entangle import CutPlan, every_cut_entangled, is_packaged_entangled
 from superselect.errors import ConfigurationError, DomainError
-from superselect.fock import attained_sectors, sector_basis
+from superselect.fock import SectorIndex, attained_sectors, sector_basis
 from superselect.scenarios import (
     build_scenario,
     color_toy_registry,
@@ -110,6 +111,22 @@ def test_verify_basis_flags_missing_vector(ep):
     findings = verify_basis(basis, ep)
     assert any("vector count" in f for f in findings)
     assert any("span projector" in f for f in findings)  # projector rank d-1
+
+
+def test_empty_basis_reports_findings_and_metrics(ep):
+    basis = EntangledBasis(vectors=[], sector=SectorIndex((0,)), n=2)
+    assert verify_basis(basis, ep) == [
+        "vector count 0 != sector dimension 2",
+        f"span projector deviates from sector projector by {np.sqrt(2.0):.3e} (Frobenius)",
+    ]
+    assert basis_metrics(basis, ep) == {
+        "dimension": 2,
+        "max_gram_deviation": 0.0,
+        "span_frobenius_deviation": None,
+        "entangled_count": 0,
+        "degenerate": False,
+        "separable_indices": [],
+    }
 
 
 def test_verify_basis_flags_unflagged_separable_vector(ep):

@@ -16,9 +16,14 @@ from superselect.fock import (
     total_charge,
     validate_label,
 )
-from superselect.scenarios import electron_positron_registry, neutral_kaon_registry
+from superselect.scenarios import (
+    color_toy_registry,
+    electron_positron_registry,
+    neutral_kaon_registry,
+)
+from superselect.states import StateVector, sector_decompose, validate_superselection
 
-from helpers import lepton_photon_registry, two_family_registry
+from helpers import dyon_registry, lepton_photon_registry, two_family_registry
 
 
 def B(*labels):
@@ -160,6 +165,63 @@ def test_total_charge_rejects_charge_arity_mismatch():
     reg = SpeciesRegistry(reg.charge_specs, reg.species + [Species("x", ChargeVector((0, 0)), 1, "x")])
     with pytest.raises(ConfigurationError, match="arity mismatch: 1 vs 2"):
         total_charge(reg, B(("e-", 0), ("x", 0)))
+
+
+def _arity_registry():
+    reg = electron_positron_registry(1)
+    return SpeciesRegistry(reg.charge_specs, reg.species + [Species("x", ChargeVector((0, 0)), 1, "x")])
+
+
+def _raised(call, *args):
+    with pytest.raises(Exception) as excinfo:
+        call(*args)
+    return type(excinfo.value), str(excinfo.value)
+
+
+_GOOD = B(("e-", 0), ("e+", 0))
+_BAD_TERMS = {
+    "unknown": B(("e-", 0), ("nope", 0)),
+    "spin": B(("e+", 1), ("e-", 0)),
+    "arity": B(("x", 0), ("e-", 0)),
+    # within one term the first bad label decides, and each label's checks run
+    # in total_charge's order: species, then spin, then arity
+    "spin_before_unknown": B(("e-", 2), ("nope", 0)),
+    "spin_before_arity": B(("x", 1), ("e-", 0)),
+    "arity_before_spin": B(("x", 0), ("e-", 1)),
+}
+
+
+@pytest.mark.parametrize("first", sorted(_BAD_TERMS))
+@pytest.mark.parametrize("second", ["unknown", "spin", "arity"])
+def test_sector_table_raises_what_total_charge_raises(first, second):
+    reg = _arity_registry()
+    terms = [_GOOD, _BAD_TERMS[first], _BAD_TERMS[second]]
+    vec = StateVector({t: 0.5 for t in terms})
+    want = _raised(total_charge, reg, _BAD_TERMS[first])
+    assert want[0] in (UnknownSpeciesError, DomainError, ConfigurationError)
+    assert _raised(validate_superselection, reg, vec) == want
+    assert _raised(sector_decompose, reg, vec) == want
+    assert _raised(state_sector, reg, _BAD_TERMS[first]) == want
+
+
+def test_sector_enumeration_raises_what_total_charge_raises():
+    reg = _arity_registry()
+    first_bad = next(b for b in enumerate_basis(reg, 2) if "x" in {l.species_id for l in b.labels})
+    want = _raised(total_charge, reg, first_bad)
+    assert want == (ConfigurationError, "charge arity mismatch: 1 vs 2")
+    assert _raised(sector_basis, reg, 2, (0,)) == want
+    assert _raised(attained_sectors, reg, 2) == want
+    # an unknown species can only reach the enumeration through ``allowed``
+    unknown = _raised(total_charge, reg, B(("nope", 0)))
+    assert _raised(sector_basis, reg, 2, (0,), {"nope"}) == unknown
+    assert _raised(attained_sectors, reg, 2, {"e-", "nope"}) == unknown
+
+
+@pytest.mark.parametrize("reg", [two_family_registry(), dyon_registry(), color_toy_registry()])
+def test_sector_table_matches_state_sector(reg):
+    table = fock.SpeciesTable(reg)
+    for b in enumerate_basis(reg, 3) + [BasisState(())]:
+        assert SectorIndex(table.sector_charges(b)) == state_sector(reg, b)
 
 
 def test_total_charge_equals_fold_of_species_charges():

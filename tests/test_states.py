@@ -41,6 +41,7 @@ from superselect.states import (
     normalize,
     require_single_sector,
     save_state,
+    scale,
     sector_decompose,
     state_from_dict,
     state_to_dict,
@@ -52,6 +53,7 @@ from helpers import (
     dyon_registry,
     lepton_photon_registry,
     random_single_sector_state,
+    reference_normalize,
     two_family_registry,
 )
 
@@ -101,6 +103,32 @@ def test_superpose_cancellation_gives_zero_state():
     vec = StateVector.from_basis_state(EM_EP)
     out = superpose([(ROOT_HALF, vec), (-ROOT_HALF, vec)])
     assert out.is_zero() and out.n == 2
+
+
+_NON_FINITE = [
+    complex(math.nan, 0.0),
+    complex(0.5, math.nan),
+    complex(math.inf, 0.0),
+    complex(math.inf, math.nan),
+]
+
+
+@pytest.mark.parametrize("amp", _NON_FINITE, ids=["nan_real", "nan_imag", "inf", "inf_nan"])
+def test_non_finite_amplitudes_fail_loudly(amp):
+    message = f"non-finite amplitude {amp!r} for term {EP_EM}"
+    with pytest.raises(DomainError) as excinfo:
+        StateVector({EM_EP: ROOT_HALF, EP_EM: amp})
+    assert str(excinfo.value) == message
+    # the product coef * 1 spreads a nan to both parts, so only the form is fixed
+    with pytest.raises(DomainError, match=r"^non-finite amplitude \(.*\) for term \|e\+,e-\>$"):
+        superpose([(1.0, StateVector({EM_EP: ROOT_HALF})), (amp, StateVector({EP_EM: 1.0}))])
+    with pytest.raises(DomainError) as excinfo:
+        from_coordinates(np.array([ROOT_HALF, amp]), [EM_EP, EP_EM])
+    assert str(excinfo.value) == message
+
+
+def test_tiny_finite_amplitudes_are_still_pruned():
+    assert StateVector({EM_EP: 1e-13, EP_EM: complex(0.0, -1e-13)}, n=2).is_zero()
 
 
 def test_superpose_rejects_mixed_register_counts():
@@ -233,6 +261,25 @@ def test_validate_superselection_matches_sector_decompose(case):
     with pytest.raises(SuperselectionError) as excinfo:
         require_single_sector(registry, vec)
     assert str(excinfo.value) == verdict.describe()
+
+
+@settings(max_examples=100, deadline=None)
+@given(states_over_sectors(), st.floats(1e-3, 1e3), st.floats(-math.pi, math.pi))
+def test_normalize_and_scale_equal_one_superpose_bit_for_bit(case, size, phase):
+    _, vec = case
+    coef = size * cmath.exp(1j * phase)
+    scaled = scale(coef, vec)
+    want = superpose([(coef, vec)])
+    assert [(s, a.real.hex(), a.imag.hex()) for s, a in scaled.terms.items()] == [
+        (s, a.real.hex(), a.imag.hex()) for s, a in want.terms.items()
+    ]
+    assert scale(0.0, vec) == superpose([(0.0, vec)])
+    if not vec.is_zero():
+        got = normalize(vec)
+        want = reference_normalize(vec)
+        assert [(s, a.real.hex(), a.imag.hex()) for s, a in got.terms.items()] == [
+            (s, a.real.hex(), a.imag.hex()) for s, a in want.terms.items()
+        ]
 
 
 _CUT = Bipartition.from_left({0}, 2)
