@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .charges import SpeciesRegistry
-from .errors import DomainError
+from .errors import ConfigurationError, DomainError
 from .states import StateVector, require_normalized, require_single_sector
 
 #: Singular values at or below this fraction of the largest count as zero.
@@ -27,6 +27,9 @@ PPT_TOL = 1e-10
 #: Density-matrix admission tolerances.
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-9
+#: Largest product basis ``internal_charge_marginal`` builds a marginal on:
+#: one D x D complex matrix at D = 4096 takes 256 MiB.
+MAX_MARGINAL_DIM = 4096
 
 
 @dataclass(frozen=True)
@@ -288,6 +291,57 @@ def every_cut_entangled(plan: CutPlan, columns: np.ndarray) -> list[bool]:
 
 # -- internal-charge marginals and the PPT witness -----------------------------
 
+def _components(mat: np.ndarray) -> np.ndarray:
+    """Connected-component label (its smallest index) of every row of ``mat``,
+    linking i > j wherever ``mat[i, j]`` is nonzero.
+
+    Label propagation: each pass hooks the root of every edge's larger label
+    under the smaller one, then pointer jumping flattens every chain to its
+    root. Labels only ever fall and ``label[i] <= i``, so chains end.
+    """
+    dim = mat.shape[0]
+    rows, cols = np.divmod(np.flatnonzero(np.tril(mat != 0, -1)), dim)
+    label = np.arange(dim)
+    while True:
+        lo, hi = label[rows], label[cols]
+        split = lo != hi
+        if not split.any():
+            return label
+        lo, hi = lo[split], hi[split]
+        np.minimum.at(label, np.maximum(lo, hi), np.minimum(lo, hi))
+        while True:
+            jumped = label[label]
+            if np.array_equal(jumped, label):
+                break
+            label = jumped
+
+
+def _eigvalsh_blocks(mat: np.ndarray) -> np.ndarray:
+    """Every eigenvalue of Hermitian ``mat``, ascending, solved block by block.
+
+    ``np.linalg.eigvalsh`` reads the lower triangle and mirrors it; the
+    connected components of that triangle's exact nonzero pattern permute the
+    matrix it reads into a direct sum, so the union of the blocks' spectra is
+    its spectrum. Blocks are principal submatrices in ascending index order,
+    so each block's lower triangle is read from the same entries. A singleton
+    contributes its real diagonal entry; blocks of one size share one batched
+    ``eigvalsh``.
+    """
+    label = _components(mat)
+    order = np.argsort(label, kind="stable")
+    sizes = np.bincount(label)
+    sizes = sizes[sizes > 0]  # per component, in order of its label as in ``order``
+    starts = np.cumsum(sizes) - sizes
+    spectra = []
+    for size in np.unique(sizes):
+        idx = order[starts[sizes == size, None] + np.arange(size)]
+        if size == 1:
+            spectra.append(mat[idx[:, 0], idx[:, 0]].real)
+        else:
+            spectra.append(np.linalg.eigvalsh(mat[idx[:, :, None], idx[:, None, :]]).ravel())
+    return np.sort(np.concatenate(spectra))
+
+
 class DensityMatrix:
     """Hermitian, PSD, unit-trace matrix over a labeled product basis.
 
@@ -306,9 +360,11 @@ class DensityMatrix:
             raise DomainError(
                 f"density matrix shape {entries.shape} does not match product basis size {dim}"
             )
+        if not np.all(np.isfinite(entries)):
+            raise DomainError("density matrix has non-finite entries")
         if np.max(np.abs(entries - entries.conj().T)) > HERMITICITY_TOL:
             raise DomainError("density matrix is not Hermitian")
-        eigs = np.linalg.eigvalsh(entries)
+        eigs = _eigvalsh_blocks(entries)
         if eigs.min() < -PPT_TOL:
             raise DomainError(f"density matrix has negative eigenvalue {eigs.min():.3e}")
         if abs(np.trace(entries).real - 1.0) > TRACE_TOL:
@@ -333,6 +389,10 @@ def internal_charge_marginal(
     configurations survives exactly when they share a spin assignment, so
     anti-correlated spin branches decohere the marginal while equal-spin
     branches keep it pure.
+
+    The product basis has D = prod(alphabet sizes) configurations; a D above
+    ``MAX_MARGINAL_DIM`` raises ConfigurationError before anything of size D
+    is built.
     """
     require_normalized(vec)
     if cut is not None:
@@ -341,17 +401,23 @@ def internal_charge_marginal(
     alphabets = tuple(
         tuple(sorted({b.labels[r].species_id for b in vec.terms})) for r in range(n)
     )
-    configs = list(itertools.product(*alphabets))
-    index = {c: i for i, c in enumerate(configs)}
-    # amplitude grouped by spin assignment: spin tuple -> coordinate vector over configs
-    by_spin: dict[tuple[int, ...], np.ndarray] = {}
-    for state, amp in vec.terms.items():
-        spins = tuple(l.spin for l in state.labels)
-        species = tuple(l.species_id for l in state.labels)
-        vecrow = by_spin.setdefault(spins, np.zeros(len(configs), dtype=complex))
-        vecrow[index[species]] += amp
-    rho = np.zeros((len(configs), len(configs)), dtype=complex)
-    for row in by_spin.values():
+    dim = math.prod(len(a) for a in alphabets)
+    if dim > MAX_MARGINAL_DIM:
+        raise ConfigurationError(
+            f"internal marginal needs a {dim} x {dim} density matrix "
+            f"(product of the registers' species alphabets): the limit is {MAX_MARGINAL_DIM}"
+        )
+    index = {c: i for i, c in enumerate(itertools.product(*alphabets))}
+    # one amplitude row over the configurations per spin assignment, in order of first sight
+    spin_rows: dict[tuple[int, ...], int] = {}
+    rows, cols = [], []
+    for state in vec.terms:
+        rows.append(spin_rows.setdefault(tuple(l.spin for l in state.labels), len(spin_rows)))
+        cols.append(index[tuple(l.species_id for l in state.labels)])
+    by_spin = np.zeros((len(spin_rows), dim), dtype=complex)
+    by_spin[rows, cols] += _amplitudes(vec)
+    rho = np.zeros((dim, dim), dtype=complex)
+    for row in by_spin:
         rho += np.outer(row, row.conj())
     return DensityMatrix(rho, alphabets, cut=cut)
 
@@ -395,7 +461,7 @@ def ppt_check(rho: DensityMatrix, cut: Bipartition | None = None) -> PptResult:
     tensor = tensor.transpose(perm + [n + i for i in perm])
     block = tensor.reshape(d_left, d_right, d_left, d_right)
     transposed = block.transpose(0, 3, 2, 1).reshape(d_left * d_right, d_left * d_right)
-    eigs = np.linalg.eigvalsh(transposed)
+    eigs = _eigvalsh_blocks(transposed)
     min_eig = float(eigs.min())
     if min_eig < -PPT_TOL:
         return PptResult("entangled", min_eig, conclusive=True)

@@ -44,11 +44,15 @@ class SpinObservable:
     bases: dict[str, np.ndarray]
 
     def __post_init__(self):
+        if not self.bases:
+            raise ConfigurationError("observable bases is empty: it needs a spin basis per species")
         clean = {}
         for sid, mat in self.bases.items():
             mat = np.asarray(mat, dtype=complex)
             if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
                 raise ConfigurationError(f"spin basis for {sid!r} must be square")
+            if mat.shape[0] == 0:
+                raise ConfigurationError(f"spin basis for {sid!r} is empty (0x0)")
             if not np.all(np.isfinite(mat)):
                 raise ConfigurationError(f"spin basis for {sid!r} has non-finite entries")
             gram = mat @ mat.conj().T

@@ -9,6 +9,7 @@ the total weight.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -18,6 +19,14 @@ from superselect.charges import (
     ChargeVector,
     Species,
     SpeciesRegistry,
+)
+from superselect.entangle import (
+    HERMITICITY_TOL,
+    PPT_TOL,
+    TRACE_TOL,
+    Bipartition,
+    DensityMatrix,
+    PptResult,
 )
 from superselect.errors import ConfigurationError, DomainError
 from superselect.fock import BasisState, RegisterLabel, attained_sectors, sector_basis
@@ -163,6 +172,73 @@ def reference_amplitude_matrix(vec: StateVector, cut):
         mat[lmap[tuple(state.labels[i] for i in lidx)],
             rmap[tuple(state.labels[i] for i in ridx)]] = amp
     return mat, lkeys, rkeys
+
+
+# -- dense reference for the internal marginal and the PPT witness ----------------
+
+def reference_internal_marginal(vec: StateVector):
+    """Spin-traced marginal as one dense outer product per spin assignment,
+    accumulated in order of first sight; returns the entries and the alphabets.
+
+    ``internal_charge_marginal`` must reproduce these entries bit for bit.
+    """
+    alphabets = tuple(
+        tuple(sorted({b.labels[r].species_id for b in vec.terms})) for r in range(vec.n)
+    )
+    configs = list(itertools.product(*alphabets))
+    index = {c: i for i, c in enumerate(configs)}
+    by_spin: dict[tuple[int, ...], np.ndarray] = {}
+    for state, amp in vec.terms.items():
+        spins = tuple(l.spin for l in state.labels)
+        species = tuple(l.species_id for l in state.labels)
+        vecrow = by_spin.setdefault(spins, np.zeros(len(configs), dtype=complex))
+        vecrow[index[species]] += amp
+    rho = np.zeros((len(configs), len(configs)), dtype=complex)
+    for row in by_spin.values():
+        rho += np.outer(row, row.conj())
+    return rho, alphabets
+
+
+def reference_density_admission(entries, register_alphabets) -> np.ndarray:
+    """``DensityMatrix`` admission with one dense ``eigvalsh`` over the whole
+    matrix; returns that spectrum. Errors must match the package's in type and
+    message (the package checks finiteness first, which this does not)."""
+    entries = np.asarray(entries, dtype=complex)
+    dim = len(list(itertools.product(*register_alphabets)))
+    if entries.shape != (dim, dim):
+        raise DomainError(
+            f"density matrix shape {entries.shape} does not match product basis size {dim}"
+        )
+    if np.max(np.abs(entries - entries.conj().T)) > HERMITICITY_TOL:
+        raise DomainError("density matrix is not Hermitian")
+    eigs = np.linalg.eigvalsh(entries)
+    if eigs.min() < -PPT_TOL:
+        raise DomainError(f"density matrix has negative eigenvalue {eigs.min():.3e}")
+    if abs(np.trace(entries).real - 1.0) > TRACE_TOL:
+        raise DomainError(f"density matrix trace {np.trace(entries).real:.12g} != 1")
+    return eigs
+
+
+def reference_ppt_check(rho: DensityMatrix, cut: Bipartition) -> PptResult:
+    """``ppt_check`` with one dense ``eigvalsh`` over the whole partial transpose."""
+    n = len(rho.register_alphabets)
+    dims = rho.local_dims()
+    lidx = sorted(cut.left)
+    ridx = sorted(cut.right)
+    d_left = math.prod(dims[i] for i in lidx)
+    d_right = math.prod(dims[i] for i in ridx)
+    tensor = rho.entries.reshape(dims + dims)
+    perm = lidx + ridx
+    tensor = tensor.transpose(perm + [n + i for i in perm])
+    block = tensor.reshape(d_left, d_right, d_left, d_right)
+    transposed = block.transpose(0, 3, 2, 1).reshape(d_left * d_right, d_left * d_right)
+    eigs = np.linalg.eigvalsh(transposed)
+    min_eig = float(eigs.min())
+    if min_eig < -PPT_TOL:
+        return PptResult("entangled", min_eig, conclusive=True)
+    small = min(d_left, d_right) <= 2 and max(d_left, d_right) <= 3
+    trivial = min(d_left, d_right) == 1
+    return PptResult("separable-consistent", min_eig, conclusive=small or trivial)
 
 
 # -- loop reference for spin measurement ------------------------------------------

@@ -5,7 +5,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import superselect.entangle as entangle_module
 from superselect.entangle import (
     Bipartition,
     DensityMatrix,
@@ -19,7 +21,7 @@ from superselect.entangle import (
     ppt_check,
     schmidt,
 )
-from superselect.errors import DomainError, SuperselectionError
+from superselect.errors import ConfigurationError, DomainError, SuperselectionError
 from superselect.fock import BasisState, RegisterLabel
 from superselect.scenarios import (
     build_scenario,
@@ -32,10 +34,14 @@ from superselect.states import StateVector
 from helpers import (
     dyon_registry,
     lepton_photon_registry,
+    mixed_spin_registry,
     oracle_entangled_somewhere,
     oracle_packaged_entangled,
     random_single_sector_state,
     reference_amplitude_matrix,
+    reference_density_admission,
+    reference_internal_marginal,
+    reference_ppt_check,
     two_family_registry,
 )
 
@@ -399,3 +405,131 @@ def test_marginal_trace_is_one_on_random_states():
         vec = random_single_sector_state(rng, reg, 2)
         rho = internal_charge_marginal(reg, vec, CUT01)
         assert float(np.trace(rho.entries).real) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_density_matrix_refuses_non_finite_entries():
+    alphabets = (("a", "b"),)
+    for bad in (complex(math.nan, 0.0), complex(0.5, math.nan), complex(math.inf, 0.0)):
+        entries = np.diag([0.5, 0.5]).astype(complex)
+        entries[1, 0] = bad
+        with pytest.raises(DomainError, match="^density matrix has non-finite entries$"):
+            DensityMatrix(entries, alphabets)
+    with pytest.raises(DomainError, match="^density matrix has non-finite entries$"):
+        DensityMatrix(np.full((2, 2), np.nan), alphabets)
+
+
+def _raised(fn, *args):
+    try:
+        fn(*args)
+    except Exception as exc:  # the type and message are what is compared
+        return type(exc), str(exc)
+    return None
+
+
+def test_density_matrix_admission_errors_match_the_dense_reference():
+    alphabets = (("e+", "e-"),)
+    tiny = 5e-11  # within the Hermiticity tolerance, read by eigvalsh from the lower triangle
+    for entries in (
+        np.diag([0.5, 0.5]),
+        np.array([[0.5, 0.3], [0.1, 0.5]]),
+        np.diag([1.5, -0.5]),
+        np.diag([0.7, 0.5]),
+        np.eye(3) / 3.0,
+        np.array([[1.0, 0.0], [tiny, 0.0]]),
+        np.array([[0.5, tiny], [0.0, 0.5 - 2e-10]]),
+    ):
+        assert _raised(DensityMatrix, entries, alphabets) == _raised(
+            reference_density_admission, entries, alphabets
+        )
+
+
+# -- block spectra -----------------------------------------------------------------
+
+
+def test_block_spectrum_reads_the_lower_triangle_as_eigvalsh_does():
+    lower_only = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
+    upper_only = lower_only.T.copy()
+    for mat in (lower_only, upper_only, np.diag([2.0 + 1.0j, -1.0 - 3.0j])):
+        assert np.array_equal(entangle_module._eigvalsh_blocks(mat), np.linalg.eigvalsh(mat))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    singletons=st.integers(0, 6),
+    zero_rows=st.integers(0, 4),
+    dense=st.integers(0, 9),
+    pairs=st.integers(0, 3),
+    tiny_lower=st.integers(0, 4),
+    tiny_upper=st.integers(0, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_block_spectrum_equals_dense_eigvalsh(singletons, zero_rows, dense, pairs, tiny_lower, tiny_upper, seed):
+    """A hidden permuted block structure, plus lower- and upper-triangle-only
+    entries small enough to pass the Hermiticity tolerance."""
+    rng = np.random.default_rng(seed)
+    sizes = [1] * singletons + [0] * zero_rows + ([dense] if dense else []) + [2] * pairs
+    dim = sum(max(size, 1) for size in sizes)
+    if dim == 0:
+        return
+    mat = np.zeros((dim, dim), dtype=complex)
+    at = 0
+    for size in sizes:
+        if size:
+            z = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
+            mat[at:at + size, at:at + size] = z + z.conj().T
+        at += max(size, 1)
+    below = [(i, j) for i in range(dim) for j in range(i)]
+    for count, scale in ((tiny_lower, 1.0), (tiny_upper, -1.0)):
+        for k in rng.permutation(len(below))[:count]:
+            i, j = below[k]
+            if scale > 0:
+                mat[i, j] += 5e-11
+            else:
+                mat[j, i] += 5e-11j
+    perm = rng.permutation(dim)
+    mat = mat[np.ix_(perm, perm)]
+    got = np.sort(entangle_module._eigvalsh_blocks(mat))
+    want = np.sort(np.linalg.eigvalsh(mat))
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want), initial=0.0) <= 1e-12 * np.max(np.abs(mat))
+
+
+@pytest.mark.parametrize(
+    "make_registry, n",
+    [
+        (lepton_photon_registry, 3),
+        (lambda: electron_positron_registry(2), 4),
+        (color_toy_registry, 4),
+        (mixed_spin_registry, 3),
+    ],
+    ids=["spinless", "spin2", "colour", "mixed-spin"],
+)
+def test_marginal_and_ppt_match_the_dense_reference(make_registry, n):
+    reg = make_registry()
+    rng = np.random.default_rng(71)
+    for _ in range(4):
+        vec = random_single_sector_state(rng, reg, n, product_bias=0.25)
+        want, alphabets = reference_internal_marginal(vec)
+        reference_density_admission(want, alphabets)
+        for cut in all_bipartitions(n):
+            rho = internal_charge_marginal(reg, vec, cut)
+            assert rho.register_alphabets == alphabets
+            assert rho.entries.tobytes() == want.tobytes()
+            got, ref = ppt_check(rho), reference_ppt_check(rho, cut)
+            assert (got.verdict, got.conclusive) == (ref.verdict, ref.conclusive)
+            assert abs(got.min_eigenvalue - ref.min_eigenvalue) <= 1e-12
+
+
+def test_oversized_marginal_is_refused_before_it_allocates(monkeypatch):
+    reg = electron_positron_registry(1)
+    vec = StateVector({B(("e-", 0), ("e+", 0), ("e-", 0), ("e+", 0)): ROOT_HALF,
+                       B(("e+", 0), ("e-", 0), ("e+", 0), ("e-", 0)): ROOT_HALF})
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the marginal allocated past the size limit")
+
+    monkeypatch.setattr(entangle_module, "MAX_MARGINAL_DIM", 15)
+    monkeypatch.setattr(entangle_module.itertools, "product", refuse)
+    monkeypatch.setattr(entangle_module.np, "zeros", refuse)
+    with pytest.raises(ConfigurationError, match=r"16 x 16 .*the limit is 15$"):
+        internal_charge_marginal(reg, vec)

@@ -334,3 +334,16 @@ def test_observable_rejects_non_finite_entries():
     for bad in (math.nan, math.inf):
         with pytest.raises(ConfigurationError, match="non-finite"):
             SpinObservable(register=0, bases={"e-": np.array([[1.0, 0.0], [0.0, bad]])})
+
+
+def test_observable_with_no_bases_is_a_configuration_error(hybrid_third):
+    reg, state, _ = hybrid_third
+    with pytest.raises(ConfigurationError, match="bases is empty"):
+        measure_spin(reg, state, SpinObservable(register=0, bases={}))
+
+
+def test_observable_with_an_empty_basis_names_the_species(hybrid_third):
+    reg, state, _ = hybrid_third
+    bases = {"e-": np.eye(2), "e+": np.zeros((0, 0))}
+    with pytest.raises(ConfigurationError, match=r"spin basis for 'e\+' is empty \(0x0\)"):
+        measure_spin(reg, state, SpinObservable(register=0, bases=bases))
