@@ -64,6 +64,7 @@ from .builder import (
     BuilderConfig,
     EntangledBasis,
     build_packaged_entangled_basis,
+    check_basis,
     verify_basis,
 )
 from .measure import (

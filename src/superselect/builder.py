@@ -17,7 +17,7 @@ The build has four steps:
    unitary (F. Mezzadri, "How to generate random matrices from the classical
    compact groups", Notices AMS 54 (2007) 592). Mixing inside an orthonormal
    set keeps orthonormality and span exactly, so only the mixed columns are
-   rechecked; a failed mix is redrawn up to ``max_repair_attempts`` times.
+   rechecked; a failed mix is redrawn up to ``MAX_MIX_ATTEMPTS`` times.
 4. Record one diagnostics entry per vector, listing every mix it took part in.
 
 A whole sector is closed under register permutation, so it fails the
@@ -35,22 +35,19 @@ import numpy as np
 
 from .charges import SpeciesRegistry
 from .entangle import CutPlan, every_cut_entangled
-from .errors import ConfigurationError, DomainError
+from .errors import DomainError
 from .fock import BasisState, SectorIndex, sector_basis
 from .states import StateVector, coordinates, from_coordinates
 
 ORTHO_TOL = 1e-9
 SPAN_TOL = 1e-8
+#: Haar mixes drawn for the failing group before the basis is flagged degenerate.
+MAX_MIX_ATTEMPTS = 64
 
 
 @dataclass
 class BuilderConfig:
-    max_repair_attempts: int = 64
     rng_seed: int = 0
-
-    def __post_init__(self):
-        if self.max_repair_attempts < 1:
-            raise ConfigurationError("max_repair_attempts must be >= 1")
 
 
 @dataclass
@@ -63,25 +60,22 @@ class EntangledBasis:
     diagnostics: list[dict] = field(default_factory=list)
     degenerate: bool = False
     separable_indices: list[int] = field(default_factory=list)
-    #: The sector's product basis the builder took coordinates in; None for a
-    #: basis assembled elsewhere.
-    product_basis: list[BasisState] | None = field(default=None, repr=False, compare=False)
 
     @property
     def dimension(self) -> int:
         return len(self.vectors)
 
 
-def _admits_entangled(states: list[BasisState]) -> bool:
-    """Whether the span of these product states holds a vector entangled on every cut.
+def _admits_entangled(codes: np.ndarray) -> bool:
+    """Whether the span of these product states, given as rows of a plan's
+    per-register label codes, holds a vector entangled on every cut.
 
     It does not iff n == 1 or some cut has one side's configuration fixed
     across the set, that is, some register holds one label throughout: every
     vector of the span factorizes across such a cut. Otherwise both sides vary
     on every cut, so a generic vector of the span has rank >= 2 on each.
     """
-    n = states[0].n
-    return n > 1 and all(len({s.labels[r] for s in states}) > 1 for r in range(n))
+    return codes.shape[1] > 1 and bool(np.all(codes.min(axis=0) < codes.max(axis=0)))
 
 
 def _haar_unitary(m: int, rng: np.random.Generator) -> np.ndarray:
@@ -97,7 +91,6 @@ def build_packaged_entangled_basis(
     n: int,
     sector,
     cfg: BuilderConfig | None = None,
-    allowed=None,
 ) -> EntangledBasis:
     """Build an orthonormal basis of the (n, sector) subspace, every vector entangled.
 
@@ -106,7 +99,7 @@ def build_packaged_entangled_basis(
     entangled vector or every mix attempt fails.
     """
     cfg = cfg or BuilderConfig()
-    product_basis = sector_basis(registry, n, sector, allowed=allowed)
+    product_basis = sector_basis(registry, n, sector)
     if not product_basis:
         raise DomainError(f"sector {sector} is empty for n={n}")
     if not isinstance(sector, SectorIndex):
@@ -125,10 +118,6 @@ def build_packaged_entangled_basis(
         cols[d // 2, d - 1] = 1.0
         seed_kind.append("leftover")
 
-    def support(columns: list[int]) -> list[BasisState]:
-        rows = np.flatnonzero(np.any(cols[:, columns] != 0, axis=1))
-        return [product_basis[i] for i in rows]
-
     # one index plan for the sector; every check below shares it
     plan = CutPlan(product_basis, n)
     status = every_cut_entangled(plan, cols)
@@ -136,15 +125,15 @@ def build_packaged_entangled_basis(
     # both columns of a seed pair share one two-term support, so they pass or
     # fail together: the group is a union of whole pairs and the leftover
     group = [k for k in range(d) if not status[k]]
-    if group and _admits_entangled(product_basis):
+    if group and _admits_entangled(plan.codes):
         passing_pairs = (k for k in range(0, d - 1, 2) if status[k])
         # ends by the time every pair is in: the whole sector admits
-        while not _admits_entangled(support(group)):
+        while not _admits_entangled(plan.codes[np.any(cols[:, group] != 0, axis=1)]):
             k = next(passing_pairs)
             group += [k, k + 1]
         group.sort()
         rng = np.random.default_rng(cfg.rng_seed)
-        for attempt in range(cfg.max_repair_attempts):
+        for attempt in range(MAX_MIX_ATTEMPTS):
             mixed = cols[:, group] @ _haar_unitary(len(group), rng)
             accepted = all(every_cut_entangled(plan, mixed))
             for k in group:
@@ -168,7 +157,6 @@ def build_packaged_entangled_basis(
         diagnostics=diagnostics,
         degenerate=bool(separable),
         separable_indices=separable,
-        product_basis=product_basis,
     )
 
 
@@ -188,15 +176,21 @@ def _deviations(basis: EntangledBasis, product_basis: list[BasisState]):
     return mat, gram_dev, span_dev
 
 
-def verify_basis(basis: EntangledBasis, registry: SpeciesRegistry, allowed=None) -> list[str]:
-    """Independent recheck of every EntangledBasis invariant; empty list iff all hold.
+def check_basis(
+    basis: EntangledBasis, registry: SpeciesRegistry
+) -> tuple[list[str], dict | None]:
+    """Independent recheck of every EntangledBasis invariant, and the report metrics.
 
-    The sector is enumerated afresh; coordinates in it prove membership and the
-    Gram diagonal checks norms, so one every-cut check over its index plan gives
-    the entanglement verdicts (a zero vector is not entangled).
+    Returns the findings (empty iff every invariant holds) and the metrics:
+    dimension, Gram and span deviations, entangled count, degenerate flag and
+    separable indices. The metrics are None when the vectors are not
+    expressible in the sector. The sector is enumerated afresh; coordinates in
+    it prove membership and the Gram diagonal checks norms, so one every-cut
+    check over its index plan gives the entanglement verdicts (a zero vector
+    is not entangled).
     """
     findings: list[str] = []
-    product_basis = sector_basis(registry, basis.n, basis.sector, allowed=allowed)
+    product_basis = sector_basis(registry, basis.n, basis.sector)
     d = len(product_basis)
     if basis.dimension != d:
         findings.append(f"vector count {basis.dimension} != sector dimension {d}")
@@ -205,7 +199,7 @@ def verify_basis(basis: EntangledBasis, registry: SpeciesRegistry, allowed=None)
         mat, gram_dev, span_dev = _deviations(basis, product_basis)
     except DomainError as exc:  # support outside the sector
         findings.append(f"vectors are not expressible in the sector basis: {exc}")
-        return findings
+        return findings, None
 
     norm_dev = float(np.max(np.abs(np.diag(gram_dev)))) if basis.dimension else 0.0
     cross = gram_dev - np.diag(np.diag(gram_dev))
@@ -225,21 +219,8 @@ def verify_basis(basis: EntangledBasis, registry: SpeciesRegistry, allowed=None)
             findings.append(f"vector {k} fails the entanglement predicate but is not flagged")
     if basis.separable_indices and not basis.degenerate:
         findings.append("separable vectors present but degenerate flag not set")
-    return findings
 
-
-def basis_metrics(basis: EntangledBasis, registry: SpeciesRegistry, allowed=None) -> dict:
-    """Numeric summary used by reports: Gram and span deviations, entangled count.
-
-    Takes coordinates in the builder's own product basis when the basis
-    carries one, else in the sector basis enumerated here.
-    """
-    product_basis = basis.product_basis
-    if product_basis is None:
-        product_basis = sector_basis(registry, basis.n, basis.sector, allowed=allowed)
-    _, gram_dev, span_dev = _deviations(basis, product_basis)
-    d = len(product_basis)
-    return {
+    metrics = {
         "dimension": d,
         "max_gram_deviation": float(np.max(np.abs(gram_dev), initial=0.0)),
         "span_frobenius_deviation": span_dev if basis.dimension == d else None,
@@ -249,3 +230,9 @@ def basis_metrics(basis: EntangledBasis, registry: SpeciesRegistry, allowed=None
         "degenerate": basis.degenerate,
         "separable_indices": list(basis.separable_indices),
     }
+    return findings, metrics
+
+
+def verify_basis(basis: EntangledBasis, registry: SpeciesRegistry) -> list[str]:
+    """The findings of ``check_basis``: empty list iff every invariant holds."""
+    return check_basis(basis, registry)[0]

@@ -10,7 +10,7 @@ import sys
 import time
 
 from . import __version__
-from .builder import BuilderConfig, basis_metrics, build_packaged_entangled_basis, verify_basis
+from .builder import BuilderConfig, build_packaged_entangled_basis, check_basis
 from .charges import load_registry
 from .entangle import (
     Bipartition,
@@ -209,11 +209,11 @@ def _run_basis(args) -> tuple[int, dict]:
     with open(diag_path, "w", encoding="utf-8") as fh:
         json.dump(basis.diagnostics, fh, indent=2)
         fh.write("\n")
-    findings = verify_basis(basis, registry)
+    findings, metrics = check_basis(basis, registry)
     results = {
         "sector": str(basis.sector),
         "registers": args.registers,
-        "metrics": basis_metrics(basis, registry),
+        "metrics": metrics,
         "verify_findings": findings,
         "vector_files": files,
         "diagnostics_file": diag_path,

@@ -30,6 +30,8 @@ TRACE_TOL = 1e-9
 #: Largest product basis ``internal_charge_marginal`` builds a marginal on:
 #: one D x D complex matrix at D = 4096 takes 256 MiB.
 MAX_MARGINAL_DIM = 4096
+#: Most cuts ``all_bipartitions`` will list: 2 ** (n - 1) - 1 of them.
+MAX_CUTS = 2**20
 
 
 @dataclass(frozen=True)
@@ -62,9 +64,17 @@ class Bipartition:
 
 
 def all_bipartitions(n: int) -> list[Bipartition]:
-    """Every cut up to complement symmetry: the side containing register 0."""
+    """Every cut up to complement symmetry: the side containing register 0.
+
+    More than ``MAX_CUTS`` cuts raises ConfigurationError before any is built.
+    """
     if n < 2:
         return []
+    # the first test settles a large n without computing 2 ** (n - 1)
+    if n - 1 > MAX_CUTS.bit_length() or 2 ** (n - 1) - 1 > MAX_CUTS:
+        raise ConfigurationError(
+            f"refusing to list 2**{n - 1}-1 cuts (n={n}): the limit is {MAX_CUTS}"
+        )
     cuts = []
     rest = list(range(1, n))
     for r in range(0, n - 1):

@@ -182,15 +182,15 @@ def _coerce_sector(registry: SpeciesRegistry, sector) -> SectorIndex:
     return sector
 
 
-def sector_basis(registry: SpeciesRegistry, n: int, sector, allowed=None) -> list[BasisState]:
+def sector_basis(registry: SpeciesRegistry, n: int, sector) -> list[BasisState]:
     """The sublist of ``enumerate_basis`` with gauged net charge equal to ``sector``."""
     target = _coerce_sector(registry, sector).gauged_charges
     table = SpeciesTable(registry)
-    return [b for b in enumerate_basis(registry, n, allowed) if table.sector_charges(b) == target]
+    return [b for b in enumerate_basis(registry, n) if table.sector_charges(b) == target]
 
 
-def attained_sectors(registry: SpeciesRegistry, n: int, allowed=None) -> list[SectorIndex]:
+def attained_sectors(registry: SpeciesRegistry, n: int) -> list[SectorIndex]:
     """Sorted list of the sectors attained by some basis state."""
     table = SpeciesTable(registry)
-    charges = {table.sector_charges(b) for b in enumerate_basis(registry, n, allowed)}
+    charges = {table.sector_charges(b) for b in enumerate_basis(registry, n)}
     return [SectorIndex(q) for q in sorted(charges)]

@@ -246,7 +246,9 @@ def apply_u1_gauge(
     """Phase each term by exp(+i * q * theta), q its net charge in ``component``.
 
     Only gauged components generate a phase action; naming a global component
-    is a configuration error.
+    is a configuration error. Each term's charge is read through
+    ``SpeciesTable.sector_charges``, so a bad label raises what
+    ``total_charge`` raises.
     """
     if not math.isfinite(theta):
         raise ConfigurationError(f"gauge angle theta must be finite, got {theta!r}")
@@ -255,9 +257,11 @@ def apply_u1_gauge(
         raise ConfigurationError(
             f"charge component {component!r} is global; only gauged components generate a gauge action"
         )
+    position = registry.gauged_indices().index(idx)
+    table = SpeciesTable(registry)
     new_terms = {}
     for state, amp in vec.terms.items():
-        q = sum(registry.get(l.species_id).charges.components[idx] for l in state.labels)
+        q = table.sector_charges(state)[position]
         new_terms[state] = amp * cmath.exp(1j * q * theta)
     return StateVector(new_terms, n=vec.n)
 

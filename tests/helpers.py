@@ -174,6 +174,16 @@ def reference_amplitude_matrix(vec: StateVector, cut):
     return mat, lkeys, rkeys
 
 
+# -- label-set reference for the builder's structural test -----------------------
+
+def reference_admits_entangled(states: list[BasisState]) -> bool:
+    """Whether the span of these product states can hold a vector entangled on
+    every cut, decided on label sets: n > 1 and no register holds one label
+    throughout. ``builder._admits_entangled`` must agree on the plan's codes."""
+    n = states[0].n
+    return n > 1 and all(len({s.labels[r] for s in states}) > 1 for r in range(n))
+
+
 # -- dense reference for the internal marginal and the PPT witness ----------------
 
 def reference_internal_marginal(vec: StateVector):

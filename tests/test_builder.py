@@ -3,16 +3,20 @@
 import numpy as np
 import pytest
 
+import superselect.builder as builder_module
 from superselect.builder import (
     BuilderConfig,
     EntangledBasis,
+    _admits_entangled,
     _haar_unitary,
-    basis_metrics,
     build_packaged_entangled_basis,
+    check_basis,
     verify_basis,
 )
+from superselect.charges import save_registry
+from superselect.cli import main
 from superselect.entangle import CutPlan, every_cut_entangled, is_packaged_entangled
-from superselect.errors import ConfigurationError, DomainError
+from superselect.errors import DomainError
 from superselect.fock import SectorIndex, attained_sectors, sector_basis
 from superselect.scenarios import (
     build_scenario,
@@ -22,6 +26,7 @@ from superselect.scenarios import (
 )
 from superselect.states import (
     StateVector,
+    coordinates,
     from_coordinates,
     inner_product,
     max_term_deviation,
@@ -29,7 +34,12 @@ from superselect.states import (
     superpose,
 )
 
-from helpers import dyon_registry, lepton_photon_registry, oracle_packaged_entangled
+from helpers import (
+    dyon_registry,
+    lepton_photon_registry,
+    oracle_packaged_entangled,
+    reference_admits_entangled,
+)
 
 
 @pytest.fixture
@@ -74,10 +84,10 @@ def test_six_dimensional_sector_fully_entangled(ep):
     assert not basis.degenerate and basis.separable_indices == []
     for vec in basis.vectors:
         assert is_packaged_entangled(ep, vec).entangled
-    metrics = basis_metrics(basis, ep)
+    findings, metrics = check_basis(basis, ep)
+    assert findings == [] and verify_basis(basis, ep) == []
     assert metrics["max_gram_deviation"] <= 1e-9
     assert metrics["span_frobenius_deviation"] <= 1e-8
-    assert verify_basis(basis, ep) == []
 
 
 def test_builder_is_deterministic(ep):
@@ -91,11 +101,6 @@ def test_builder_is_deterministic(ep):
 def test_empty_sector_rejected(ep):
     with pytest.raises(DomainError):
         build_packaged_entangled_basis(ep, 2, (5,))
-
-
-def test_builder_config_validation():
-    with pytest.raises(ConfigurationError):
-        BuilderConfig(max_repair_attempts=0)
 
 
 def test_verify_basis_flags_scaled_vector(ep):
@@ -115,11 +120,12 @@ def test_verify_basis_flags_missing_vector(ep):
 
 def test_empty_basis_reports_findings_and_metrics(ep):
     basis = EntangledBasis(vectors=[], sector=SectorIndex((0,)), n=2)
-    assert verify_basis(basis, ep) == [
+    findings, metrics = check_basis(basis, ep)
+    assert findings == verify_basis(basis, ep) == [
         "vector count 0 != sector dimension 2",
         f"span projector deviates from sector projector by {np.sqrt(2.0):.3e} (Frobenius)",
     ]
-    assert basis_metrics(basis, ep) == {
+    assert metrics == {
         "dimension": 2,
         "max_gram_deviation": 0.0,
         "span_frobenius_deviation": None,
@@ -275,17 +281,80 @@ def test_verify_basis_entanglement_findings_match_per_vector_predicate(registry,
     assert any(expected_finding in f for f in findings), findings
     entanglement = [f for f in findings if "entanglement predicate" in f]
     assert entanglement == _reference_entanglement_findings(basis, registry)
+    assert check_basis(basis, registry)[0] == findings
 
 
-def test_metrics_reuse_the_builders_product_basis(ep, monkeypatch):
-    import superselect.builder
+def test_cli_basis_checks_the_basis_in_one_pass(ep, tmp_path, capsys, monkeypatch):
+    calls = {"sector_basis": 0, "_deviations": 0}
 
+    def counted(name):
+        original = getattr(builder_module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(builder_module, name, wrapper)
+
+    counted("sector_basis")
+    counted("_deviations")
+    save_registry(ep, str(tmp_path / "ep.json"))
+    code = main(["basis", "--registry", str(tmp_path / "ep.json"), "--registers", "4",
+                 "--charge", "0", "--out", str(tmp_path / "out")])
+    capsys.readouterr()
+    assert code == 0
+    assert calls == {"sector_basis": 2, "_deviations": 1}  # build, then one check
+
+
+@pytest.mark.parametrize("how", ["intact", "scaled", "missing", "outside"])
+def test_metrics_match_a_recomputed_gram_and_projector(ep, how):
     basis = build_packaged_entangled_basis(ep, 4, (0,))
-    expected = basis_metrics(basis, ep)
-    calls = []
-    monkeypatch.setattr(
-        superselect.builder, "sector_basis", lambda *a, **k: calls.append(a) or sector_basis(*a, **k)
-    )
-    assert basis_metrics(basis, ep) == expected and calls == []
-    verify_basis(basis, ep)  # the independent recheck enumerates the sector itself
-    assert len(calls) == 1
+    if how == "scaled":
+        basis.vectors[2] = superpose([(1.01, basis.vectors[2])])
+    elif how == "missing":
+        basis.vectors.pop(1)
+    elif how == "outside":
+        basis.vectors[0] = StateVector({sector_basis(ep, 4, (2,))[0]: 1.0})
+    findings, metrics = check_basis(basis, ep)
+    if how == "outside":
+        assert metrics is None and findings[-1].startswith("vectors are not expressible")
+        return
+    product_basis = sector_basis(ep, 4, (0,))
+    mat = np.column_stack([coordinates(v, product_basis) for v in basis.vectors])
+    gram = mat.conj().T @ mat
+    projector = mat @ mat.conj().T
+    d = len(product_basis)
+    assert metrics["dimension"] == d
+    want_gram = np.max(np.abs(gram - np.eye(basis.dimension)))
+    assert metrics["max_gram_deviation"] == pytest.approx(want_gram, abs=1e-12)
+    if how == "missing":
+        assert metrics["span_frobenius_deviation"] is None
+    else:
+        want_span = np.linalg.norm(projector - np.eye(d))
+        assert metrics["span_frobenius_deviation"] == pytest.approx(want_span, abs=1e-12)
+    if how == "scaled":
+        assert want_gram == pytest.approx(1.01**2 - 1, abs=1e-9)
+    assert metrics["entangled_count"] == basis.dimension
+    assert (metrics["degenerate"], metrics["separable_indices"]) == (False, [])
+
+
+@pytest.mark.parametrize("registry", [
+    electron_positron_registry(1),
+    electron_positron_registry(2),
+    color_toy_registry(),
+    dyon_registry(),
+    lepton_photon_registry(),
+], ids=["ep", "ep-spin2", "colour", "dyon", "lepton-photon"])
+def test_structural_test_on_codes_matches_the_label_set_rule(registry):
+    rng = np.random.default_rng(11)
+    for n in (1, 2, 3):
+        for sector in attained_sectors(registry, n):
+            states = sector_basis(registry, n, sector)
+            plan = CutPlan(states, n)
+            subsets = [np.arange(len(states))] + [
+                np.sort(rng.choice(len(states), size=rng.integers(1, len(states) + 1), replace=False))
+                for _ in range(12)
+            ]
+            for rows in subsets:
+                want = reference_admits_entangled([states[i] for i in rows])
+                assert _admits_entangled(plan.codes[rows]) is want, (n, sector, rows)

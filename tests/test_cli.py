@@ -22,7 +22,8 @@ from superselect.scenarios import (
     electron_positron_registry,
     neutral_kaon_registry,
 )
-from superselect.states import inner_product, load_state, save_state
+from superselect.fock import BasisState, RegisterLabel
+from superselect.states import StateVector, inner_product, load_state, save_state
 
 from helpers import random_sector_superposition
 
@@ -309,6 +310,25 @@ def test_oversized_enumeration_exits_1(capsys, workdir, monkeypatch):
                          "--registers", "21", "--charge", "1", "--out", str(workdir / "b"))
     assert code == 1 and out == ""
     assert err.count("\n") == 1 and "n=21, alphabet size 2" in err and "1048576" in err
+
+
+def test_oversized_cut_list_exits_1(capsys, workdir, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("cuts built past the size limit")
+
+    n = 30
+    labels = [("e-", 0), ("e+", 0)] * (n // 2)
+    flipped = [("e+", 0), ("e-", 0)] * (n // 2)
+    state = StateVector({
+        BasisState(tuple(RegisterLabel(*l) for l in labels)): 1 / math.sqrt(2),
+        BasisState(tuple(RegisterLabel(*l) for l in flipped)): 1 / math.sqrt(2),
+    })
+    save_state(state, str(workdir / "long.json"))
+    monkeypatch.setattr(Bipartition, "from_left", refuse)
+    code, out, err = run(capsys, "entangle", "--registry", str(workdir / "ep.json"),
+                         "--state", str(workdir / "long.json"))
+    assert code == 1 and out == ""
+    assert err == "superselect: error: refusing to list 2**29-1 cuts (n=30): the limit is 1048576\n"
 
 
 def test_unknown_subcommand_exits_1():

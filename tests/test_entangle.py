@@ -79,6 +79,23 @@ def test_all_bipartitions_count():
     assert all(0 in cut.left for cut in all_bipartitions(4))
 
 
+def test_oversized_cut_list_is_refused_before_it_allocates(monkeypatch):
+    assert entangle_module.MAX_CUTS == 2**20
+    monkeypatch.setattr(entangle_module, "MAX_CUTS", 7)
+    assert len(all_bipartitions(4)) == 7  # exactly at the limit
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("cuts built past the size limit")
+
+    monkeypatch.setattr(Bipartition, "from_left", refuse)
+    for n in (5, 10**9):  # the check must not compute 2**(n-1) in full
+        with pytest.raises(ConfigurationError, match=rf"cuts \(n={n}\): the limit is 7$"):
+            all_bipartitions(n)
+    monkeypatch.setattr(entangle_module, "MAX_CUTS", 2**20)
+    with pytest.raises(ConfigurationError, match=r"2\*\*21-1 cuts \(n=22\): the limit is 1048576$"):
+        all_bipartitions(22)
+
+
 def test_schmidt_bell_state(bell_plus):
     result = schmidt(bell_plus, CUT01)
     assert result.rank == 2

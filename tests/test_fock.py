@@ -211,10 +211,10 @@ def test_sector_enumeration_raises_what_total_charge_raises():
     assert want == (ConfigurationError, "charge arity mismatch: 1 vs 2")
     assert _raised(sector_basis, reg, 2, (0,)) == want
     assert _raised(attained_sectors, reg, 2) == want
-    # an unknown species can only reach the enumeration through ``allowed``
+    # an unknown species can only reach the enumeration through ``allowed``,
+    # which only ``enumerate_basis`` takes
     unknown = _raised(total_charge, reg, B(("nope", 0)))
-    assert _raised(sector_basis, reg, 2, (0,), {"nope"}) == unknown
-    assert _raised(attained_sectors, reg, 2, {"e-", "nope"}) == unknown
+    assert _raised(enumerate_basis, reg, 2, {"e-", "nope"}) == unknown
 
 
 @pytest.mark.parametrize("reg", [two_family_registry(), dyon_registry(), color_toy_registry()])

@@ -17,6 +17,7 @@ from superselect.entangle import (
     is_packaged_entangled,
     schmidt,
 )
+from superselect.charges import ChargeVector, Species, SpeciesRegistry
 from superselect.errors import ConfigurationError, DomainError, ShapeError, SuperselectionError
 from superselect.fock import (
     BasisState,
@@ -348,6 +349,25 @@ def test_gauge_action_rejects_unknown_component(ep, bell_pair):
     plus, _ = bell_pair
     with pytest.raises(ConfigurationError):
         apply_u1_gauge(ep, plus, "hypercharge", 0.4)
+
+
+def test_gauge_action_refuses_a_short_charge_tuple():
+    reg = dyon_registry()
+    reg = SpeciesRegistry(reg.charge_specs, reg.species + [Species("x", ChargeVector((0,)), 1, "x")])
+    vec = StateVector({B(("d+", 0), ("x", 0)): 1.0})
+    for component in ("electric", "magnetic"):
+        with pytest.raises(ConfigurationError, match="^charge arity mismatch: 2 vs 1$"):
+            apply_u1_gauge(reg, vec, component, 0.4)
+
+
+def test_gauge_action_refuses_an_out_of_range_spin(ep):
+    vec = StateVector({B(("e-", 5), ("e+", 0)): 1.0})
+    with pytest.raises(DomainError) as refused:
+        validate_superselection(ep, vec)
+    with pytest.raises(DomainError) as gauged:
+        apply_u1_gauge(ep, vec, "electric", 0.4)
+    assert str(gauged.value) == str(refused.value)
+    assert "spin index 5 out of range" in str(gauged.value)
 
 
 def test_gauge_covariance_on_random_single_sector_states():
