@@ -37,7 +37,7 @@ from .charges import SpeciesRegistry
 from .entangle import CutPlan, every_cut_entangled
 from .errors import DomainError
 from .fock import BasisState, SectorIndex, sector_basis
-from .states import StateVector, coordinates, from_coordinates
+from .states import StateVector, coordinate_matrix, from_coordinates
 
 ORTHO_TOL = 1e-9
 SPAN_TOL = 1e-8
@@ -168,9 +168,7 @@ def _deviations(basis: EntangledBasis, product_basis: list[BasisState]):
     visible even when vectors are missing (projector rank < d), down to no
     vectors at all: a (d, 0) matrix.
     """
-    mat = np.zeros((len(product_basis), len(basis.vectors)), dtype=complex)
-    for k, vec in enumerate(basis.vectors):
-        mat[:, k] = coordinates(vec, product_basis)
+    mat = coordinate_matrix(basis.vectors, product_basis)
     gram_dev = mat.conj().T @ mat - np.eye(basis.dimension)
     span_dev = float(np.linalg.norm(mat @ mat.conj().T - np.eye(len(product_basis))))
     return mat, gram_dev, span_dev

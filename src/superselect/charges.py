@@ -238,8 +238,7 @@ def validate_registry(registry: SpeciesRegistry) -> list[str]:
 
 def save_registry(registry: SpeciesRegistry, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(registry.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(registry.to_dict(), indent=2, sort_keys=True) + "\n")
 
 
 def load_registry(path: str) -> SpeciesRegistry:

@@ -207,8 +207,7 @@ def _run_basis(args) -> tuple[int, dict]:
         files.append(path)
     diag_path = os.path.join(args.out, "diagnostics.json")
     with open(diag_path, "w", encoding="utf-8") as fh:
-        json.dump(basis.diagnostics, fh, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(basis.diagnostics, indent=2) + "\n")
     findings, metrics = check_basis(basis, registry)
     results = {
         "sector": str(basis.sector),
@@ -330,7 +329,12 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("basis", help="build a packaged entangled basis for one charge sector")
     p.add_argument("--registry", required=True)
     p.add_argument("--registers", type=int, required=True)
-    p.add_argument("--charge", required=True, help="gauged charge vector, e.g. '0' or '0,-1'")
+    p.add_argument(
+        "--charge",
+        required=True,
+        help="gauged charge vector, e.g. '0' or '0,-1'; "
+        "write --charge=-2,0 when the first component is negative",
+    )
     p.add_argument("--out", default="basis_out", help="output directory (default: basis_out)")
     # SUPPRESS keeps the global --seed when the subcommand flag is absent
     p.add_argument("--seed", type=int, default=argparse.SUPPRESS)

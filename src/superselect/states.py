@@ -17,6 +17,7 @@ import cmath
 import json
 import math
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from types import MappingProxyType
 
 import numpy as np
@@ -289,12 +290,23 @@ def max_term_deviation(a: StateVector, b: StateVector) -> float:
 
 def coordinates(vec: StateVector, basis: list[BasisState]) -> np.ndarray:
     """Amplitude column of ``vec`` in the given basis order; support must be covered."""
+    return coordinate_matrix([vec], basis)[:, 0]
+
+
+def coordinate_matrix(vectors, basis: list[BasisState]) -> np.ndarray:
+    """The ``coordinates`` of each vector as one column, from one index of the basis."""
     index = {b: i for i, b in enumerate(basis)}
-    out = np.zeros(len(basis), dtype=complex)
-    for state, amp in vec.terms.items():
-        if state not in index:
-            raise DomainError(f"state has support outside the target basis: {state}")
-        out[index[state]] = amp
+    rows, cols, amps = [], [], []
+    for k, vec in enumerate(vectors):
+        for state, amp in vec.terms.items():
+            i = index.get(state)
+            if i is None:
+                raise DomainError(f"state has support outside the target basis: {state}")
+            rows.append(i)
+            cols.append(k)
+            amps.append(amp)
+    out = np.zeros((len(basis), len(vectors)), dtype=complex)
+    out[rows, cols] = amps
     return out
 
 
@@ -332,14 +344,27 @@ def _amplitude_part(entry: dict, key: str) -> float:
     return part
 
 
+def _checked_n(n) -> int:
+    """``n`` as a state file holds it: a positive ``int``, not a ``bool``."""
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise ConfigurationError(f"state field 'n' must be a positive integer, got {n!r}")
+    return n
+
+
+def _checked_spin(spin) -> int:
+    """A label's spin as a state file holds it: an ``int``, not a ``bool``."""
+    if isinstance(spin, bool) or not isinstance(spin, int):
+        raise ConfigurationError(f"state field 'spin' must be an integer, got {spin!r}")
+    return spin
+
+
 def state_from_dict(data: dict, registry: SpeciesRegistry | None = None) -> StateVector:
     try:
         n = data["n"]
         raw_terms = data["terms"]
     except (KeyError, TypeError) as exc:
         raise ConfigurationError(f"state document missing field: {exc}") from None
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise ConfigurationError(f"state field 'n' must be a positive integer, got {n!r}")
+    _checked_n(n)
     if not isinstance(raw_terms, list):
         raise ConfigurationError(f"state field 'terms' must be a list, got {type(raw_terms).__name__}")
     terms: dict[BasisState, complex] = {}
@@ -350,9 +375,7 @@ def state_from_dict(data: dict, registry: SpeciesRegistry | None = None) -> Stat
         for raw in entry["labels"]:
             if not isinstance(raw, dict) or "species" not in raw:
                 raise ConfigurationError(f"state label needs a 'species' field, got {raw!r}")
-            spin = raw.get("spin", 0)
-            if isinstance(spin, bool) or not isinstance(spin, int):
-                raise ConfigurationError(f"state field 'spin' must be an integer, got {spin!r}")
+            spin = _checked_spin(raw.get("spin", 0))
             labels.append(RegisterLabel(str(raw["species"]), spin))
         state = BasisState(tuple(labels))
         if state.n != n:
@@ -363,15 +386,60 @@ def state_from_dict(data: dict, registry: SpeciesRegistry | None = None) -> Stat
             for label in labels:
                 validate_label(registry, label)
         amp = complex(_amplitude_part(entry, "re"), _amplitude_part(entry, "im"))
-        terms[state] = terms.get(state, 0j) + amp
+        # a repeated term adds up; a first one is kept as read, so -0.0 parts survive
+        terms[state] = terms[state] + amp if state in terms else amp
     return StateVector(terms, n=n)
 
 
+def _state_text(vec: StateVector) -> str:
+    """``json.dumps(state_to_dict(vec), indent=2) + "\\n"``, formatted in one pass.
+
+    The schema is fixed, so this is the text json's own encoder emits: species
+    ids through ``encode_basestring_ascii``, integers through ``int.__repr__``
+    and amplitude parts through ``float.__repr__`` (the shortest round-trip
+    form; a StateVector holds only finite amplitudes). A field that json would
+    write as something ``load_state`` refuses, or not at all (an ``n`` or a
+    spin ``load_state`` refuses, a non-``str`` species id), raises the
+    loader's ConfigurationError instead.
+    """
+    n = int.__repr__(_checked_n(vec.n))  # so every term has at least one label
+    terms = []
+    for state, amp in vec.items_sorted():
+        labels = []
+        for label in state.labels:
+            if not isinstance(label.species_id, str):
+                raise ConfigurationError(
+                    f"state field 'species' must be a string, got {label.species_id!r}"
+                )
+            labels.append(
+                '\n        {\n          "species": '
+                + encode_basestring_ascii(label.species_id)
+                + ',\n          "spin": '
+                + int.__repr__(_checked_spin(label.spin))
+                + "\n        }"
+            )
+        terms.append(
+            '\n    {\n      "labels": ['
+            + ",".join(labels)
+            + '\n      ],\n      "re": '
+            + float.__repr__(amp.real)
+            + ',\n      "im": '
+            + float.__repr__(amp.imag)
+            + "\n    }"
+        )
+    body = "[" + ",".join(terms) + "\n  ]" if terms else "[]"
+    return '{\n  "n": ' + n + ',\n  "terms": ' + body + "\n}\n"
+
+
 def save_state(vec: StateVector, path: str) -> None:
-    # json emits floats via repr (shortest round-trip form), so save/load is bit-exact.
+    """Write ``vec`` as ``json.dumps(state_to_dict(vec), indent=2)`` plus a newline.
+
+    Floats take their shortest round-trip form, so save/load is bit-exact. The
+    text is complete before the file is opened, so a refused field leaves no file.
+    """
+    text = _state_text(vec)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(state_to_dict(vec), fh, indent=2)
-        fh.write("\n")
+        fh.write(text)
 
 
 def load_state(

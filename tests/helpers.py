@@ -94,6 +94,18 @@ def mixed_spin_registry() -> SpeciesRegistry:
     )
 
 
+def escaped_id_registry() -> SpeciesRegistry:
+    """A charged spin-2 pair whose ids need JSON escapes: a quote, a backslash,
+    a non-ASCII letter and a character outside the Basic Multilingual Plane."""
+    return SpeciesRegistry(
+        charge_specs=[ChargeComponentSpec("electric", GAUGED, "e")],
+        species=[
+            Species('q"\u00fc-', ChargeVector((-1,)), 2, "q\\\U0001d53c+"),
+            Species("q\\\U0001d53c+", ChargeVector((1,)), 2, 'q"\u00fc-'),
+        ],
+    )
+
+
 # -- dense-tensor oracle --------------------------------------------------------
 
 def support_alphabets(vec: StateVector) -> list[list[RegisterLabel]]:

@@ -25,7 +25,7 @@ from superselect.scenarios import (
 from superselect.fock import BasisState, RegisterLabel
 from superselect.states import StateVector, inner_product, load_state, save_state
 
-from helpers import random_sector_superposition
+from helpers import dyon_registry, random_sector_superposition
 
 
 @pytest.fixture(autouse=True)
@@ -119,6 +119,22 @@ def test_basis_writes_bell_pair_files(capsys, workdir):
         best = max(abs(inner_product(vec, plus)), abs(inner_product(vec, minus)))
         assert best == pytest.approx(1.0, abs=1e-9)
     assert (outdir / "diagnostics.json").exists()
+
+
+def test_basis_takes_a_negative_first_charge_component_in_equals_form(capsys, workdir):
+    # argparse reads a separate "-2,0" as an option, so the help and README show "="
+    save_registry(dyon_registry(), str(workdir / "dyon.json"))
+    code, out, _ = run(
+        capsys, "--json", "basis",
+        "--registry", str(workdir / "dyon.json"),
+        "--registers", "2", "--charge=-2,0",
+        "--out", str(workdir / "dyon_basis"),
+    )
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert results["sector"] == "(-2,0)"
+    assert results["verify_findings"] == []
+    assert len(results["vector_files"]) == 2
 
 
 def test_entangle_reports_cuts(capsys, workdir):

@@ -1,6 +1,7 @@
 """Superpositions, sector decomposition, superselection, gauge action, conjugation."""
 
 import cmath
+import json
 import math
 
 import numpy as np
@@ -30,10 +31,12 @@ from superselect.fock import (
 from superselect.measure import measure_spin, sample_measurement, spin_z_observable
 from superselect.scenarios import build_scenario, electron_positron_registry
 from superselect.states import (
+    PRUNE_TOL,
     StateVector,
     SuperselectionReport,
     apply_u1_gauge,
     charge_conjugate,
+    coordinate_matrix,
     coordinates,
     from_coordinates,
     inner_product,
@@ -52,6 +55,7 @@ from superselect.states import (
 
 from helpers import (
     dyon_registry,
+    escaped_id_registry,
     lepton_photon_registry,
     random_single_sector_state,
     reference_normalize,
@@ -226,13 +230,14 @@ _SECTOR_REGISTRIES = [lepton_photon_registry(), two_family_registry(), dyon_regi
 
 
 @st.composite
-def states_over_sectors(draw):
+def states_over_sectors(
+    draw, registries=_SECTOR_REGISTRIES, part=st.floats(-1.0, 1.0, allow_nan=False)
+):
     """A registry from tests/helpers.py and a state over 1-3 of its sectors."""
-    registry = draw(st.sampled_from(_SECTOR_REGISTRIES))
+    registry = draw(st.sampled_from(registries))
     n = draw(st.integers(1, 3))
     sectors = attained_sectors(registry, n)
     chosen = draw(st.lists(st.sampled_from(sectors), min_size=1, max_size=3, unique=True))
-    part = st.floats(-1.0, 1.0, allow_nan=False)
     terms = {}
     for sector in chosen:
         basis = sector_basis(registry, n, sector)
@@ -433,6 +438,76 @@ def test_state_json_round_trip_is_exact(tmp_path):
     assert back == vec  # exact amplitude equality, not approx
 
 
+def _amplitude_bits(vec):
+    return [(s, a.real.hex(), a.imag.hex()) for s, a in vec.items_sorted()]
+
+
+# signed zeros, subnormals, both sides of the prune cutoff, magnitudes near 1e+-300
+_EDGE_PARTS = [
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+    PRUNE_TOL, -PRUNE_TOL, math.nextafter(PRUNE_TOL, 0.0), math.nextafter(PRUNE_TOL, 1.0),
+    1e-300, -1e-300, 1e300, -1e300, math.nextafter(1e300, 0.0),
+]
+_FILE_PARTS = st.one_of(
+    st.sampled_from(_EDGE_PARTS),
+    st.floats(-1.0, 1.0),
+    st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def saved_states(draw):
+    """A state over one or more sectors, or the zero state, of a tests/helpers.py
+    registry, including one whose species ids need JSON escapes."""
+    registry, vec = draw(
+        states_over_sectors(_SECTOR_REGISTRIES + [escaped_id_registry()], _FILE_PARTS)
+    )
+    if draw(st.integers(0, 9)) == 0:
+        vec = StateVector({}, n=vec.n)
+    return registry, vec
+
+
+@settings(max_examples=150, deadline=None)
+@given(saved_states())
+def test_saved_state_is_json_dumps_and_loads_bit_exact(tmp_path_factory, case):
+    registry, vec = case
+    path = tmp_path_factory.getbasetemp() / "saved_state.json"
+    save_state(vec, str(path))
+    assert path.read_bytes() == (json.dumps(state_to_dict(vec), indent=2) + "\n").encode()
+    back = load_state(str(path), registry=registry)
+    assert back == vec
+    assert _amplitude_bits(back) == _amplitude_bits(vec)
+
+
+def _with_label(label):
+    return StateVector({BasisState((RegisterLabel("e+", 0), label)): 1.0})
+
+
+@pytest.mark.parametrize(
+    "vec, field",
+    [
+        (_with_label(RegisterLabel("e-", True)), "spin"),  # json writes true; load refuses it
+        (_with_label(RegisterLabel("e-", np.int64(1))), "spin"),  # json fails mid-file
+        (_with_label(RegisterLabel(7, 0)), "species"),
+        (StateVector({}, n=np.int64(2)), "n"),
+        (StateVector({BasisState(()): 1.0}), "n"),  # n = 0: load refuses it
+    ],
+    ids=["bool-spin", "numpy-spin", "int-species", "numpy-n", "zero-n"],
+)
+def test_save_state_refuses_an_unwritable_field_before_touching_the_path(
+    tmp_path, vec, field
+):
+    fresh = tmp_path / "fresh.json"
+    kept = tmp_path / "kept.json"
+    kept.write_text("old")
+    for path in (fresh, kept):
+        with pytest.raises(ConfigurationError, match=f"^state field '{field}'") as excinfo:
+            save_state(vec, str(path))
+        assert "\n" not in str(excinfo.value)
+    assert not fresh.exists()
+    assert kept.read_text() == "old"
+
+
 def test_state_loader_renormalizes_only_on_request(tmp_path):
     vec = StateVector.from_basis_state(EM_EP, 2.0)
     path = tmp_path / "state.json"
@@ -474,6 +549,21 @@ def test_coordinates_round_trip(ep, bell_pair):
     assert from_coordinates(coeffs, basis) == plus
     with pytest.raises(DomainError):
         coordinates(plus, [EM_EM])
+
+
+def test_coordinate_matrix_stacks_coordinates(bell_pair):
+    plus, minus = bell_pair
+    basis = [EP_EM, EM_EP, EM_EM]
+    mat = coordinate_matrix([plus, minus], basis)
+    assert mat.shape == (3, 2)
+    assert np.array_equal(mat[:, 0], coordinates(plus, basis))
+    assert np.array_equal(mat[:, 1], coordinates(minus, basis))
+    assert coordinate_matrix([], basis).shape == (3, 0)
+    with pytest.raises(DomainError) as stacked:
+        coordinate_matrix([plus, minus], [EM_EP])
+    with pytest.raises(DomainError) as single:
+        coordinates(plus, [EM_EP])
+    assert str(stacked.value) == str(single.value)
 
 
 def test_normalize_zero_state_rejected():
