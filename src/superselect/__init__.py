@@ -61,7 +61,6 @@ from .entangle import (
     schmidt,
 )
 from .builder import (
-    BuilderConfig,
     EntangledBasis,
     build_packaged_entangled_basis,
     check_basis,

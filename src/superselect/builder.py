@@ -46,11 +46,6 @@ MAX_MIX_ATTEMPTS = 64
 
 
 @dataclass
-class BuilderConfig:
-    rng_seed: int = 0
-
-
-@dataclass
 class EntangledBasis:
     """Output of the builder: sector-spanning orthonormal vectors plus diagnostics."""
 
@@ -90,15 +85,14 @@ def build_packaged_entangled_basis(
     registry: SpeciesRegistry,
     n: int,
     sector,
-    cfg: BuilderConfig | None = None,
+    seed: int = 0,
 ) -> EntangledBasis:
     """Build an orthonormal basis of the (n, sector) subspace, every vector entangled.
 
-    Raises DomainError on an empty sector. Returns a degenerate-flagged basis
-    (with the separable vectors identified) when the sector admits no
-    entangled vector or every mix attempt fails.
+    ``seed`` seeds the Haar mixes. Raises DomainError on an empty sector.
+    Returns a degenerate-flagged basis (with the separable vectors identified)
+    when the sector admits no entangled vector or every mix attempt fails.
     """
-    cfg = cfg or BuilderConfig()
     product_basis = sector_basis(registry, n, sector)
     if not product_basis:
         raise DomainError(f"sector {sector} is empty for n={n}")
@@ -132,7 +126,7 @@ def build_packaged_entangled_basis(
             k = next(passing_pairs)
             group += [k, k + 1]
         group.sort()
-        rng = np.random.default_rng(cfg.rng_seed)
+        rng = np.random.default_rng(seed)
         for attempt in range(MAX_MIX_ATTEMPTS):
             mixed = cols[:, group] @ _haar_unitary(len(group), rng)
             accepted = all(every_cut_entangled(plan, mixed))

@@ -148,36 +148,54 @@ class SpeciesRegistry:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SpeciesRegistry":
-        try:
-            raw_specs = data["charge_specs"]
-            raw_species = data["species"]
-        except (KeyError, TypeError) as exc:
-            raise ConfigurationError(f"registry document missing field: {exc}") from None
+        if not isinstance(data, dict):
+            raise ConfigurationError(f"registry document must be an object, got {type(data).__name__}")
         specs = [
             ChargeComponentSpec(
                 name=_require_str(c, "name"),
                 kind=_require_str(c, "kind"),
                 unit=str(c.get("unit", "")),
             )
-            for c in raw_specs
+            for c in _require_objects(data, "charge_specs")
         ]
         species = [
             Species(
                 id=_require_str(s, "id"),
-                charges=ChargeVector(tuple(_require_int(v, "charges") for v in s["charges"])),
+                charges=ChargeVector(
+                    tuple(_require_int(v, "charges") for v in _require_list(s, "charges"))
+                ),
                 spin_multiplicity=_require_int(s.get("spin_multiplicity", 1), "spin_multiplicity"),
                 conjugate_id=_require_str(s, "conjugate_id"),
             )
-            for s in raw_species
+            for s in _require_objects(data, "species")
         ]
         return cls(specs, species)
 
 
-def _require_str(mapping: dict, key: str) -> str:
+def _field(mapping: dict, key: str):
     try:
-        value = mapping[key]
+        return mapping[key]
     except KeyError:
         raise ConfigurationError(f"registry field {key!r} is missing") from None
+
+
+def _require_list(mapping: dict, key: str) -> list:
+    value = _field(mapping, key)
+    if not isinstance(value, list):
+        raise ConfigurationError(f"registry field {key!r} must be a list, got {value!r}")
+    return value
+
+
+def _require_objects(mapping: dict, key: str) -> list[dict]:
+    value = _require_list(mapping, key)
+    for entry in value:
+        if not isinstance(entry, dict):
+            raise ConfigurationError(f"registry field {key!r} must hold objects, got {entry!r}")
+    return value
+
+
+def _require_str(mapping: dict, key: str) -> str:
+    value = _field(mapping, key)
     if not isinstance(value, str):
         raise ConfigurationError(f"registry field {key!r} must be a string, got {value!r}")
     return value

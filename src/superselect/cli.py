@@ -10,7 +10,7 @@ import sys
 import time
 
 from . import __version__
-from .builder import BuilderConfig, build_packaged_entangled_basis, check_basis
+from .builder import build_packaged_entangled_basis, check_basis
 from .charges import load_registry
 from .entangle import (
     Bipartition,
@@ -197,8 +197,7 @@ def _run_validate(args) -> tuple[int, dict]:
 def _run_basis(args) -> tuple[int, dict]:
     registry = load_registry(args.registry)
     sector = SectorIndex(_parse_charge(args.charge))
-    cfg = BuilderConfig(rng_seed=args.seed)
-    basis = build_packaged_entangled_basis(registry, args.registers, sector, cfg)
+    basis = build_packaged_entangled_basis(registry, args.registers, sector, seed=args.seed)
     os.makedirs(args.out, exist_ok=True)
     files = []
     for k, vec in enumerate(basis.vectors):
@@ -228,17 +227,18 @@ def _run_entangle(args) -> tuple[int, dict]:
     # one SVD per distinct cut: the reported ones, then the rest the predicates need
     scanned = list(dict.fromkeys(cuts + every))
     spectra = dict(zip(scanned, cut_spectra(state, scanned)))
+    rank = {cut: result.rank for cut, result in spectra.items()}  # derived once per cut
     require_single_sector(registry, state)
     per_cut = [
         {
             "cut": str(cut),
             "singular_values": [float(v) for v in spectra[cut].singular_values],
-            "rank": spectra[cut].rank,
+            "rank": rank[cut],
             "entropy_nats": spectra[cut].entropy(),
         }
         for cut in cuts
     ]
-    ranks = {cut.key(): spectra[cut].rank for cut in every}
+    ranks = {cut.key(): rank[cut] for cut in every}
     results = {
         "cuts": per_cut,
         "packaged_entangled": predicate_report("every-cut", state.n, ranks).to_dict(),

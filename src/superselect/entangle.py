@@ -55,6 +55,11 @@ class Bipartition:
     def n(self) -> int:
         return len(self.left) + len(self.right)
 
+    def check(self, n: int) -> None:
+        """Raise DomainError unless this cut splits exactly the registers 0..n-1."""
+        if self.left | self.right != set(range(n)):
+            raise DomainError(f"cut {self} does not match register count n={n}")
+
     def key(self) -> tuple[int, ...]:
         return tuple(sorted(self.left))
 
@@ -81,11 +86,6 @@ def all_bipartitions(n: int) -> list[Bipartition]:
         for extra in itertools.combinations(rest, r):
             cuts.append(Bipartition.from_left({0, *extra}, n))
     return cuts
-
-
-def _check_cut(vec: StateVector, cut: Bipartition) -> None:
-    if cut.left | cut.right != set(range(vec.n)):
-        raise DomainError(f"cut {cut} does not match register count n={vec.n}")
 
 
 #: Largest mixed-radix key a cut side may build before it is re-compressed.
@@ -131,13 +131,30 @@ class CutPlan:
         _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
         return inverse, first
 
-    def index(self, cut: Bipartition) -> tuple[np.ndarray, np.ndarray, tuple[int, int]]:
-        """Row and column index of every state across ``cut``, and the matrix shape."""
+    def index(self, cut: Bipartition) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Each state's row and column across ``cut``, and each row's and column's first state."""
         if cut not in self._cut_index:
+            cut.check(self.n)
             rows, lfirst = self.side(sorted(cut.left))
             cols, rfirst = self.side(sorted(cut.right))
-            self._cut_index[cut] = rows, cols, (len(lfirst), len(rfirst))
+            self._cut_index[cut] = rows, cols, lfirst, rfirst
         return self._cut_index[cut]
+
+    def matrices(self, cut: Bipartition, columns: np.ndarray) -> np.ndarray:
+        """The (k, L, R) stack of cut matrices of the (states x k) ``columns``."""
+        rows, cols, lfirst, rfirst = self.index(cut)
+        stack = np.zeros((columns.shape[1], len(lfirst), len(rfirst)), dtype=complex)
+        stack[:, rows, cols] = columns.T
+        return stack
+
+    def singular_values(self, cut: Bipartition, columns: np.ndarray) -> np.ndarray:
+        """Each column's singular values across ``cut``, descending: one batched SVD."""
+        return np.linalg.svd(self.matrices(cut, columns), compute_uv=False)
+
+
+def _ranks(values: np.ndarray) -> np.ndarray:
+    """Schmidt ranks along the last axis: singular values above RANK_REL_TOL x the largest."""
+    return (values > RANK_REL_TOL * values[..., :1]).sum(axis=-1)
 
 
 def _amplitudes(vec: StateVector) -> np.ndarray:
@@ -152,14 +169,10 @@ def amplitude_matrix(vec: StateVector, cut: Bipartition):
     into any larger label space adds only zero rows/columns, so the nonzero
     singular values are unaffected by this choice.
     """
-    _check_cut(vec, cut)
     plan = CutPlan(vec.terms, vec.n)
-    lidx = sorted(cut.left)
-    ridx = sorted(cut.right)
-    rows, lfirst = plan.side(lidx)
-    cols, rfirst = plan.side(ridx)
-    mat = np.zeros((len(lfirst), len(rfirst)), dtype=complex)
-    mat[rows, cols] = _amplitudes(vec)
+    mat = plan.matrices(cut, _amplitudes(vec)[:, None])[0]
+    _, _, lfirst, rfirst = plan.index(cut)
+    lidx, ridx = sorted(cut.left), sorted(cut.right)
     lkeys = [tuple(plan.states[i].labels[r] for r in lidx) for i in lfirst]
     rkeys = [tuple(plan.states[i].labels[r] for r in ridx) for i in rfirst]
     return mat, lkeys, rkeys
@@ -170,7 +183,10 @@ class SchmidtResult:
     """Singular values (descending) of the cut-reshaped amplitude matrix."""
 
     singular_values: np.ndarray
-    rank: int
+
+    @property
+    def rank(self) -> int:
+        return int(_ranks(self.singular_values))
 
     def squared(self) -> np.ndarray:
         return self.singular_values ** 2
@@ -183,19 +199,10 @@ class SchmidtResult:
 
 
 def _spectra(vec: StateVector, cuts) -> list[SchmidtResult]:
-    """One plan for the state's support, then one SVD per cut."""
+    """One plan for the state's support, then one SVD of its amplitude column per cut."""
     plan = CutPlan(vec.terms, vec.n)
-    amplitudes = _amplitudes(vec)
-    results = []
-    for cut in cuts:
-        _check_cut(vec, cut)
-        rows, cols, shape = plan.index(cut)
-        mat = np.zeros(shape, dtype=complex)
-        mat[rows, cols] = amplitudes
-        values = np.linalg.svd(mat, compute_uv=False)
-        rank = int(np.sum(values > RANK_REL_TOL * values[0])) if values.size else 0
-        results.append(SchmidtResult(singular_values=values, rank=rank))
-    return results
+    column = _amplitudes(vec)[:, None]
+    return [SchmidtResult(plan.singular_values(cut, column)[0]) for cut in cuts]
 
 
 def cut_spectra(vec: StateVector, cuts) -> list[SchmidtResult]:
@@ -276,26 +283,18 @@ def is_entangled_somewhere(registry: SpeciesRegistry, vec: StateVector) -> Entan
 def every_cut_entangled(plan: CutPlan, columns: np.ndarray) -> list[bool]:
     """The every-cut predicate on each column of coordinates over ``plan.states``.
 
-    Per cut, all columns still in play are reshaped into one (k, L, R) stack
-    and share one batched SVD; a column that factorizes on a cut is not
-    checked on later ones. A column's verdict is that of
-    ``is_packaged_entangled`` on its state: padding a cut matrix with the zero
-    rows and columns of the plan's wider support leaves its nonzero singular
-    values unchanged up to rounding.
+    Per cut, all columns still in play share one batched SVD; a column that
+    factorizes on a cut is not checked on later ones. A column's verdict is
+    that of ``is_packaged_entangled`` on its state: padding a cut matrix with
+    the zero rows and columns of the plan's wider support leaves its nonzero
+    singular values unchanged up to rounding.
     """
     verdict = np.full(columns.shape[1], plan.n > 1)
     for cut in all_bipartitions(plan.n):
         live = np.flatnonzero(verdict)
         if not live.size:
             break
-        rows, cols, shape = plan.index(cut)
-        if min(shape) < 2:
-            verdict[:] = False
-            break
-        stack = np.zeros((live.size, *shape), dtype=complex)
-        stack[:, rows, cols] = columns[:, live].T
-        values = np.linalg.svd(stack, compute_uv=False)
-        verdict[live] = values[:, 1] > RANK_REL_TOL * values[:, 0]
+        verdict[live] = _ranks(plan.singular_values(cut, columns[:, live])) > 1
     return verdict.tolist()
 
 
@@ -398,7 +397,8 @@ def internal_charge_marginal(
     occurring there in the state's support. Coherence between two internal
     configurations survives exactly when they share a spin assignment, so
     anti-correlated spin branches decohere the marginal while equal-spin
-    branches keep it pure.
+    branches keep it pure. It is the marginal of psi/||psi||, so its trace is 1
+    for any admitted norm.
 
     The product basis has D = prod(alphabet sizes) configurations; a D above
     ``MAX_MARGINAL_DIM`` raises ConfigurationError before anything of size D
@@ -406,7 +406,7 @@ def internal_charge_marginal(
     """
     require_normalized(vec)
     if cut is not None:
-        _check_cut(vec, cut)
+        cut.check(vec.n)
     n = vec.n
     alphabets = tuple(
         tuple(sorted({b.labels[r].species_id for b in vec.terms})) for r in range(n)
@@ -425,7 +425,7 @@ def internal_charge_marginal(
         rows.append(spin_rows.setdefault(tuple(l.spin for l in state.labels), len(spin_rows)))
         cols.append(index[tuple(l.species_id for l in state.labels)])
     by_spin = np.zeros((len(spin_rows), dim), dtype=complex)
-    by_spin[rows, cols] += _amplitudes(vec)
+    by_spin[rows, cols] += _amplitudes(vec) / vec.norm()
     rho = np.zeros((dim, dim), dtype=complex)
     for row in by_spin:
         rho += np.outer(row, row.conj())
@@ -458,8 +458,7 @@ def ppt_check(rho: DensityMatrix, cut: Bipartition | None = None) -> PptResult:
     if cut is None:
         raise DomainError("ppt_check needs a bipartition (none stored on the density matrix)")
     n = len(rho.register_alphabets)
-    if cut.left | cut.right != set(range(n)):
-        raise DomainError(f"cut {cut} does not match the marginal's register count {n}")
+    cut.check(n)
     dims = rho.local_dims()
     lidx = sorted(cut.left)
     ridx = sorted(cut.right)

@@ -80,28 +80,20 @@ def _arity_error(arity: int, charges: tuple[int, ...]) -> ConfigurationError:
     return ConfigurationError(f"charge arity mismatch: {arity} vs {len(charges)}")
 
 
-def register_alphabet(registry: SpeciesRegistry, allowed=None) -> list[RegisterLabel]:
+def register_alphabet(registry: SpeciesRegistry) -> list[RegisterLabel]:
     """The canonical per-register label list: species lexicographic, spins ascending."""
-    if allowed is None:
-        ids = registry.species_ids
-    else:
-        ids = sorted(set(allowed))
-        if not ids:
-            raise ConfigurationError("allowed species set is empty")
-        for sid in ids:
-            registry.get(sid)  # raises UnknownSpeciesError
     return [
         RegisterLabel(sid, q)
-        for sid in ids
+        for sid in registry.species_ids
         for q in range(registry.get(sid).spin_multiplicity)
     ]
 
 
-def enumerate_basis(registry: SpeciesRegistry, n: int, allowed=None) -> list[BasisState]:
+def enumerate_basis(registry: SpeciesRegistry, n: int) -> list[BasisState]:
     """All (species x spin) assignments over ``n`` registers in canonical order."""
     if n < 1:
         raise ConfigurationError(f"register count must be >= 1, got {n}")
-    alphabet = register_alphabet(registry, allowed)
+    alphabet = register_alphabet(registry)
     # an alphabet of two or more labels passes the limit within bit_length
     # registers, so capping the exponent keeps the comparison exact and cheap
     if len(alphabet) ** min(n, MAX_PRODUCT_STATES.bit_length()) > MAX_PRODUCT_STATES:

@@ -67,7 +67,12 @@ class StateVector:
             elif state.n != n:
                 raise ShapeError(f"mixed register counts: {state.n} vs {n}")
             amp = complex(amp)
-            size = abs(amp)  # inf if either part is, else nan if either part is
+            try:
+                size = abs(amp)  # inf if either part is, else nan if either part is
+            except OverflowError:  # both parts finite, the modulus is not
+                raise DomainError(
+                    f"amplitude {amp!r} for term {state} has a modulus beyond the float range"
+                ) from None
             if not size < math.inf:
                 raise DomainError(f"non-finite amplitude {amp!r} for term {state}")
             if size >= PRUNE_TOL:
@@ -116,10 +121,20 @@ class StateVector:
         return f"StateVector[n={self.n}] {inside or '0'}{more}"
 
 
+def _squared_norm(amplitudes) -> float:
+    """``sum(abs(a) ** 2)`` in the given order, or ``inf`` where that is beyond
+    the float range (``**`` raises there, where ``*`` would give ``inf``)."""
+    try:
+        return sum(abs(a) ** 2 for a in amplitudes)
+    except OverflowError:
+        return math.inf
+
+
 def amplitude_norm(amplitudes) -> float:
     """Euclidean norm with the squares summed in the given order; ``StateVector.norm``
-    sums in term order, so a branch kept as bare amplitudes gets the same float."""
-    return math.sqrt(sum(abs(a) ** 2 for a in amplitudes))
+    sums in term order, so a branch kept as bare amplitudes gets the same float.
+    A norm beyond the float range is ``inf``."""
+    return math.sqrt(_squared_norm(amplitudes))
 
 
 def superpose(pairs) -> StateVector:
@@ -162,6 +177,8 @@ def normalize(vec: StateVector) -> StateVector:
     nrm = vec.norm()
     if nrm == 0.0:
         raise DomainError("cannot normalize the zero state")
+    if nrm == math.inf:
+        raise DomainError("cannot normalize a state whose norm is beyond the float range")
     return scale(1.0 / nrm, vec)
 
 
@@ -201,7 +218,7 @@ def sector_decompose(registry: SpeciesRegistry, vec: StateVector) -> SectorDecom
     for state, amp in vec.terms.items():
         groups.setdefault(table.sector_charges(state), {})[state] = amp
     parts = {
-        SectorIndex(q): (StateVector(terms, n=vec.n), sum(abs(a) ** 2 for a in terms.values()))
+        SectorIndex(q): (StateVector(terms, n=vec.n), _squared_norm(terms.values()))
         for q, terms in sorted(groups.items())
     }
     return SectorDecomposition(parts)
@@ -227,10 +244,12 @@ def validate_superselection(registry: SpeciesRegistry, vec: StateVector):
     sectors = [table.sector_charges(state) for state in vec.terms]
     if sectors.count(sectors[0]) == len(sectors):
         return SectorIndex(sectors[0])
-    weights: dict[tuple[int, ...], list[float]] = {}
+    amplitudes: dict[tuple[int, ...], list[complex]] = {}
     for q, amp in zip(sectors, vec.terms.values()):
-        weights.setdefault(q, []).append(abs(amp) ** 2)
-    return SuperselectionReport({SectorIndex(q): sum(w) for q, w in sorted(weights.items())})
+        amplitudes.setdefault(q, []).append(amp)
+    return SuperselectionReport(
+        {SectorIndex(q): _squared_norm(a) for q, a in sorted(amplitudes.items())}
+    )
 
 
 def require_single_sector(registry: SpeciesRegistry, vec: StateVector) -> SectorIndex:
@@ -311,10 +330,13 @@ def coordinate_matrix(vectors, basis: list[BasisState]) -> np.ndarray:
 
 
 def from_coordinates(coeffs: np.ndarray, basis: list[BasisState]) -> StateVector:
+    """The vector with amplitude ``coeffs[i]`` on ``basis[i]``, built from the
+    nonzero coordinates only: a zero one would be pruned anyway."""
     if len(coeffs) != len(basis):
         raise ShapeError(f"coordinate length {len(coeffs)} != basis size {len(basis)}")
     n = basis[0].n if basis else None
-    return StateVector({b: c for b, c in zip(basis, coeffs)}, n=n)
+    nonzero = np.flatnonzero(coeffs)
+    return StateVector._from_pairs(zip([basis[i] for i in nonzero], coeffs[nonzero]), n)
 
 
 # -- JSON round trip ----------------------------------------------------------

@@ -199,8 +199,10 @@ def reference_admits_entangled(states: list[BasisState]) -> bool:
 # -- dense reference for the internal marginal and the PPT witness ----------------
 
 def reference_internal_marginal(vec: StateVector):
-    """Spin-traced marginal as one dense outer product per spin assignment,
-    accumulated in order of first sight; returns the entries and the alphabets.
+    """Spin-traced marginal of psi/||psi|| as one dense outer product per spin
+    assignment, accumulated in order of first sight; returns the entries and
+    the alphabets. The amplitudes are divided by the norm as one complex array
+    before any outer product.
 
     ``internal_charge_marginal`` must reproduce these entries bit for bit.
     """
@@ -210,7 +212,8 @@ def reference_internal_marginal(vec: StateVector):
     configs = list(itertools.product(*alphabets))
     index = {c: i for i, c in enumerate(configs)}
     by_spin: dict[tuple[int, ...], np.ndarray] = {}
-    for state, amp in vec.terms.items():
+    scaled = np.array(list(vec.terms.values()), dtype=complex) / vec.norm()
+    for state, amp in zip(vec.terms, scaled):
         spins = tuple(l.spin for l in state.labels)
         species = tuple(l.species_id for l in state.labels)
         vecrow = by_spin.setdefault(spins, np.zeros(len(configs), dtype=complex))

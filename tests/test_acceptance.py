@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 
-from superselect.builder import BuilderConfig, build_packaged_entangled_basis
+from superselect.builder import build_packaged_entangled_basis
 from superselect.charges import save_registry
 from superselect.cli import main as cli_main
 from superselect.entangle import (
@@ -290,9 +290,8 @@ def test_criterion_8_round_trip_and_determinism(tmp_path, capsys):
         save_state(vec, str(path))
         assert load_state(str(path), registry=reg) == vec  # exact amplitudes
 
-    cfg = BuilderConfig(rng_seed=12)
-    one = build_packaged_entangled_basis(reg, 2, (0,), cfg)
-    two = build_packaged_entangled_basis(reg, 2, (0,), cfg)
+    one = build_packaged_entangled_basis(reg, 2, (0,), seed=12)
+    two = build_packaged_entangled_basis(reg, 2, (0,), seed=12)
     assert all(a == b for a, b in zip(one.vectors, two.vectors))
 
     save_registry(electron_positron_registry(1), str(tmp_path / "ep.json"))

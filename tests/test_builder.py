@@ -5,7 +5,6 @@ import pytest
 
 import superselect.builder as builder_module
 from superselect.builder import (
-    BuilderConfig,
     EntangledBasis,
     _admits_entangled,
     _haar_unitary,
@@ -91,11 +90,16 @@ def test_six_dimensional_sector_fully_entangled(ep):
 
 
 def test_builder_is_deterministic(ep):
-    one = build_packaged_entangled_basis(ep, 4, (0,), BuilderConfig(rng_seed=3))
-    two = build_packaged_entangled_basis(ep, 4, (0,), BuilderConfig(rng_seed=3))
+    # the n=3 sector (-1) mixes its leftover seed, so the seed reaches the vectors
+    one = build_packaged_entangled_basis(ep, 3, (-1,), seed=3)
+    two = build_packaged_entangled_basis(ep, 3, (-1,), seed=3)
     for a, b in zip(one.vectors, two.vectors):
         assert a == b  # bit-identical term maps
     assert one.diagnostics == two.diagnostics
+    other = build_packaged_entangled_basis(ep, 3, (-1,), seed=5)
+    assert other.vectors != one.vectors and verify_basis(other, ep) == []
+    default = build_packaged_entangled_basis(ep, 3, (-1,))
+    assert default.vectors == build_packaged_entangled_basis(ep, 3, (-1,), seed=0).vectors
 
 
 def test_empty_sector_rejected(ep):
@@ -141,6 +145,16 @@ def test_verify_basis_flags_unflagged_separable_vector(ep):
     basis.vectors[0] = product  # also breaks orthogonality with vector 1
     findings = verify_basis(basis, ep)
     assert any("entanglement predicate" in f for f in findings)
+
+
+def test_separable_indices_without_the_degenerate_flag_are_a_finding(ep):
+    basis = build_packaged_entangled_basis(ep, 1, (-1,))  # one register: degenerate
+    assert basis.degenerate and basis.separable_indices == [0]
+    assert verify_basis(basis, ep) == []
+    basis.degenerate = False
+    findings, metrics = check_basis(basis, ep)
+    assert findings == ["separable vectors present but degenerate flag not set"]
+    assert (metrics["degenerate"], metrics["separable_indices"]) == (False, [0])
 
 
 def test_diagnostics_record_repairs(ep):

@@ -15,6 +15,7 @@ from superselect.charges import (
     save_registry,
     validate_registry,
 )
+from superselect.cli import main
 from superselect.errors import ConfigurationError, UnknownSpeciesError
 from superselect.scenarios import (
     color_toy_registry,
@@ -214,3 +215,32 @@ def test_every_builtin_registry_loads(tmp_path):
         path = tmp_path / f"reg{k}.json"
         save_registry(reg, str(path))
         assert load_registry(str(path)).to_dict() == reg.to_dict()
+
+
+
+def _without_charges(doc):
+    del doc["species"][0]["charges"]
+    return doc
+
+
+@pytest.mark.parametrize("breaking, message", [
+    (lambda doc: [doc], "registry document must be an object, got list"),
+    (lambda doc: {**doc, "species": 5}, "registry field 'species' must be a list, got 5"),
+    (lambda doc: {**doc, "charge_specs": [5]}, "registry field 'charge_specs' must hold objects, got 5"),
+    (_without_charges, "registry field 'charges' is missing"),
+    (lambda doc: doc["species"][0].update(charges=5) or doc,
+     "registry field 'charges' must be a list, got 5"),
+], ids=["document-not-object", "species-not-list", "charge-spec-not-object", "charges-missing",
+        "charges-not-list"])
+def test_malformed_registry_shape_is_one_line_naming_the_field(tmp_path, capsys, breaking, message):
+    path = tmp_path / "shape.json"
+    path.write_text(json.dumps(breaking(electron_positron_registry(1).to_dict())))
+    with pytest.raises(ConfigurationError) as excinfo:
+        load_registry(str(path))
+    assert str(excinfo.value) == message
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps({"n": 1, "terms": [{"labels": [{"species": "e-"}], "re": 1.0}]}))
+    code = main(["validate", "--registry", str(path), "--state", str(state)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == f"superselect: error: {message}\n"

@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -18,6 +21,7 @@ from superselect.entangle import (
     schmidt,
 )
 from superselect.scenarios import (
+    SCENARIO_NAMES,
     build_scenario,
     electron_positron_registry,
     neutral_kaon_registry,
@@ -56,6 +60,29 @@ def test_demo_bell_plus(capsys):
     assert code == 0
     assert "entropy_first_cut" in out and "0.693147" in out
     assert "verified: True" in out
+
+
+@pytest.mark.parametrize("name", SCENARIO_NAMES)
+def test_every_demo_verifies(capsys, name):
+    code, out, err = run(capsys, "--json", "demo", name)
+    report = json.loads(out)
+    assert code == 0 and err == ""
+    assert report["results"]["verified"] is True
+    assert all(row["ok"] for row in report["results"]["verification"])
+
+
+def test_module_entry_point_exits_with_the_command_status(tmp_path):
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    ok = subprocess.run([sys.executable, "-m", "superselect.cli", "demo", "bell_plus"],
+                        capture_output=True, text=True, env=env, cwd=tmp_path)
+    assert ok.returncode == 0 and "status: OK (exit 0)" in ok.stdout
+    missing = subprocess.run([sys.executable, "-m", "superselect.cli", "validate",
+                              "--registry", "nope.json", "--state", "nope.json"],
+                             capture_output=True, text=True, env=env, cwd=tmp_path)
+    assert missing.returncode == 1 and missing.stdout == ""
+    assert missing.stderr.startswith("superselect: error:") and missing.stderr.count("\n") == 1
 
 
 def test_demo_json_report_structure(capsys):
@@ -263,6 +290,7 @@ _TERM = {"labels": [{"species": "e-", "spin": 0}, {"species": "e+", "spin": 0}],
          "re": 1.0, "im": 0.0}
 _VALID = {"n": 2, "terms": [_TERM]}
 _GAUGE = ("gauge", "--component", "electric", "--theta")
+_HUGE = {"n": 2, "terms": [{**_TERM, "re": 1e308, "im": 1e308}]}
 
 
 @pytest.mark.parametrize("command, document, field", [
@@ -273,8 +301,13 @@ _GAUGE = ("gauge", "--component", "electric", "--theta")
     (("validate",), {"n": 2, "terms": [{**_TERM, "im": math.nan}]}, "'im'"),
     ((*_GAUGE, "nan"), _VALID, "theta"),
     ((*_GAUGE, "inf"), _VALID, "theta"),
+    # |a| ** 2 overflows: the norm reads inf and is refused
+    (("entangle",), _HUGE, "state is not normalized (norm inf)"),
+    (("measure", "--register", "0"), _HUGE, "state is not normalized (norm inf)"),
+    (("validate", "--normalize"), _HUGE, "cannot normalize a state whose norm is beyond"),
 ], ids=["no-labels", "re-not-number", "terms-object", "re-infinite", "im-nan",
-        "theta-nan", "theta-inf"])
+        "theta-nan", "theta-inf", "entangle-norm-overflow", "measure-norm-overflow",
+        "normalize-norm-overflow"])
 def test_malformed_input_exits_1_naming_the_field(capsys, workdir, command, document, field):
     path = workdir / "malformed.json"
     path.write_text(json.dumps(document))  # non-finite floats become Infinity / NaN

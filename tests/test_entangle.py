@@ -415,6 +415,35 @@ def test_ppt_requires_a_cut():
         ppt_check(rho)
 
 
+def test_every_cut_check_refuses_a_cut_of_another_register_count(bell_plus):
+    reg = electron_positron_registry(1)
+    rho = internal_charge_marginal(reg, bell_plus, CUT01)
+    wide = Bipartition.from_left({0}, 3)
+    message = "cut {0}|{1,2} does not match register count n=2"
+    for call in (
+        lambda: ppt_check(rho, wide),
+        lambda: internal_charge_marginal(reg, bell_plus, wide),
+        lambda: amplitude_matrix(bell_plus, wide),
+        lambda: cut_spectra(bell_plus, [CUT01, wide]),
+    ):
+        with pytest.raises(DomainError) as excinfo:
+            call()
+        assert str(excinfo.value) == message
+
+
+def test_marginal_of_an_admitted_state_off_unit_norm():
+    # the norm check admits | ||psi|| - 1 | <= 1e-9, while the trace of the
+    # unscaled marginal, ||psi||^2, would miss 1 by about 1.8e-9
+    reg, vec, _ = build_scenario("hybrid_pair")
+    off = StateVector({b: a * (1 + 0.9e-9) for b, a in vec.terms.items()})
+    assert schmidt(off, CUT01).rank == 2
+    rho = internal_charge_marginal(reg, off, CUT01)
+    assert abs(np.trace(rho.entries).real - 1.0) <= 1e-15
+    exact = internal_charge_marginal(reg, vec, CUT01)
+    assert np.max(np.abs(rho.entries - exact.entries)) <= 1e-15
+    assert ppt_check(rho).verdict == ppt_check(exact).verdict
+
+
 def test_marginal_trace_is_one_on_random_states():
     rng = np.random.default_rng(31)
     reg = electron_positron_registry(2)

@@ -120,21 +120,9 @@ def test_sector_arity_checked():
         sector_basis(electron_positron_registry(1), 2, (0, 0))
 
 
-def test_empty_allowed_set_rejected():
-    with pytest.raises(ConfigurationError):
-        enumerate_basis(electron_positron_registry(1), 2, allowed=[])
-
-
 def test_register_count_must_be_positive():
     with pytest.raises(ConfigurationError):
         enumerate_basis(electron_positron_registry(1), 0)
-
-
-def test_allowed_subset_restricts_alphabet():
-    reg = two_family_registry()
-    basis = enumerate_basis(reg, 2, allowed=["e-", "e+"])
-    assert len(basis) == 4
-    assert all(l.species_id in ("e-", "e+") for b in basis for l in b.labels)
 
 
 @pytest.mark.parametrize(
@@ -211,10 +199,6 @@ def test_sector_enumeration_raises_what_total_charge_raises():
     assert want == (ConfigurationError, "charge arity mismatch: 1 vs 2")
     assert _raised(sector_basis, reg, 2, (0,)) == want
     assert _raised(attained_sectors, reg, 2) == want
-    # an unknown species can only reach the enumeration through ``allowed``,
-    # which only ``enumerate_basis`` takes
-    unknown = _raised(total_charge, reg, B(("nope", 0)))
-    assert _raised(enumerate_basis, reg, 2, {"e-", "nope"}) == unknown
 
 
 @pytest.mark.parametrize("reg", [two_family_registry(), dyon_registry(), color_toy_registry()])

@@ -22,6 +22,7 @@ from superselect.charges import ChargeVector, Species, SpeciesRegistry
 from superselect.errors import ConfigurationError, DomainError, ShapeError, SuperselectionError
 from superselect.fock import (
     BasisState,
+    enumerate_basis,
     RegisterLabel,
     SectorIndex,
     attained_sectors,
@@ -43,6 +44,7 @@ from superselect.states import (
     load_state,
     max_term_deviation,
     normalize,
+    require_normalized,
     require_single_sector,
     save_state,
     scale,
@@ -313,6 +315,56 @@ def test_entry_points_check_the_norm_first_with_one_message(ep, entry):
         with pytest.raises(DomainError) as excinfo:
             admit(ep, vec)
         assert str(excinfo.value) == "state is not normalized (norm 2)"
+
+
+def test_overflowing_norm_is_refused_with_a_domain_error(ep):
+    # |a| ** 2 overflows a float from |a| ~ 1.3e154 on
+    vec = StateVector({EM_EP: complex(1e308, 1e308)})
+    assert vec.norm() == math.inf
+    with pytest.raises(DomainError) as excinfo:
+        require_normalized(vec)
+    assert str(excinfo.value) == "state is not normalized (norm inf)"
+    with pytest.raises(DomainError, match="^cannot normalize a state whose norm is beyond"):
+        normalize(vec)
+    # a cross-sector report weighs the overflowing sector as inf, as sector_decompose does
+    cross = StateVector({EM_EM: complex(1e308, 1e308), EM_EP: 1.0})
+    weights = {SectorIndex((-2,)): math.inf, SectorIndex((0,)): 1.0}
+    assert validate_superselection(ep, cross).sector_weights == weights
+    assert sector_decompose(ep, cross).weights() == weights
+
+
+def test_amplitude_whose_modulus_overflows_is_refused():
+    with pytest.raises(DomainError) as excinfo:
+        StateVector({EM_EP: complex(1.7e308, 1.7e308)})
+    assert str(excinfo.value) == (
+        "amplitude (1.7e+308+1.7e+308j) for term |e-,e+> has a modulus beyond the float range"
+    )
+
+
+@pytest.mark.parametrize("size", [1e-160, 1e-5, 1.0, 1e150, 1e153])
+def test_finite_norms_keep_their_bits(size):
+    rng = np.random.default_rng(5)
+    basis = enumerate_basis(electron_positron_registry(2), 2)
+    amps = size * (rng.normal(size=len(basis)) + 1j * rng.normal(size=len(basis)))
+    vec = StateVector(dict(zip(basis, amps)))
+    want = math.sqrt(sum(abs(a) ** 2 for a in vec.terms.values()))
+    assert math.isfinite(want) and vec.norm().hex() == want.hex()
+
+
+def test_from_coordinates_matches_the_build_from_every_coordinate():
+    rng = np.random.default_rng(41)
+    basis = enumerate_basis(electron_positron_registry(2), 3)
+    for _ in range(20):
+        coeffs = rng.normal(size=len(basis)) + 1j * rng.normal(size=len(basis))
+        coeffs[rng.random(len(basis)) < 0.7] = 0
+        coeffs[rng.random(len(basis)) < 0.1] = 1e-13  # pruned either way
+        coeffs[rng.random(len(basis)) < 0.1] = complex(-0.0, -0.0)
+        got = from_coordinates(coeffs, basis)
+        want = StateVector(dict(zip(basis, coeffs)), n=3)
+        bits = lambda v: [(b, a.real.hex(), a.imag.hex()) for b, a in v.terms.items()]
+        assert bits(got) == bits(want)
+    with pytest.raises(ShapeError):
+        from_coordinates(np.zeros(0), [])
 
 
 def test_is_normalized_uses_the_norm_tolerance():
