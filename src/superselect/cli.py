@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -82,10 +83,43 @@ def _parse_cut(text: str, n: int) -> Bipartition:
     return Bipartition.from_left(left, n)
 
 
+def _seed(text: str) -> int:
+    # numpy refuses negative seeds with a bare ValueError, so argparse refuses them first
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {seed}")
+    return seed
+
+
 def _close(a, b, tol=1e-9) -> bool:
     if a is None or b is None:
         return a is b
     return abs(a - b) <= tol
+
+
+def _load(args):
+    registry = load_registry(args.registry)
+    return registry, load_state(args.state, registry=registry, renormalize=args.normalize)
+
+
+def _row(prop: str, expected, computed, ok: bool) -> dict:
+    return {"property": prop, "expected": expected, "computed": computed, "ok": ok}
+
+
+def _record(record) -> dict:
+    return {"outcome": record.outcome, "probability": record.probability,
+            "post_state": state_to_dict(record.post_state)}
+
+
+def _state_result(args, state, **fields) -> tuple[int, dict]:
+    results = {**fields, "state": state_to_dict(state)}
+    if args.out:
+        save_state(state, args.out)
+        results["written"] = args.out
+    return EXIT_OK, results
 
 
 # -- subcommand handlers -------------------------------------------------------
@@ -98,79 +132,43 @@ def _run_demo(args) -> tuple[int, dict]:
     if expect.superselection_violation:
         ok = isinstance(verdict, SuperselectionReport)
         computed = {str(q): w for q, w in verdict.sector_weights.items()} if ok else str(verdict)
-        rows.append({"property": "superselection_violation", "expected": True, "computed": ok, "ok": ok})
+        rows.append(_row("superselection_violation", True, ok, ok))
         if ok:
+            expected = {str(q): w for q, w in zip(expect.violation_sectors, expect.violation_weights)}
             sectors_ok = sorted(computed) == sorted(str(q) for q in expect.violation_sectors)
-            weights_ok = all(
-                _close(computed.get(str(q)), w)
-                for q, w in zip(expect.violation_sectors, expect.violation_weights)
-            )
-            rows.append({
-                "property": "violation_sectors",
-                "expected": {str(q): w for q, w in zip(expect.violation_sectors, expect.violation_weights)},
-                "computed": computed,
-                "ok": sectors_ok and weights_ok,
-            })
+            weights_ok = all(_close(computed.get(q), w) for q, w in expected.items())
+            rows.append(_row("violation_sectors", expected, computed, sectors_ok and weights_ok))
     else:
+        computed = str(verdict) if isinstance(verdict, SectorIndex) else verdict.describe()
         ok = isinstance(verdict, SectorIndex) and verdict == expect.sector
-        rows.append({
-            "property": "sector",
-            "expected": str(expect.sector),
-            "computed": str(verdict) if isinstance(verdict, SectorIndex) else verdict.describe(),
-            "ok": ok,
-        })
+        rows.append(_row("sector", str(expect.sector), computed, ok))
 
     if expect.entangled is not None:
-        report = is_packaged_entangled(registry, state)
-        rows.append({
-            "property": "packaged_entangled",
-            "expected": expect.entangled,
-            "computed": report.entangled,
-            "ok": report.entangled == expect.entangled,
-        })
+        entangled = is_packaged_entangled(registry, state).entangled
+        rows.append(_row("packaged_entangled", expect.entangled, entangled, entangled == expect.entangled))
 
     if expect.entropy_first_cut is not None and state.n > 1:
-        cut = Bipartition.from_left({0}, state.n)
-        ent = entanglement_entropy(state, cut)
-        rows.append({
-            "property": "entropy_first_cut",
-            "expected": expect.entropy_first_cut,
-            "computed": ent,
-            "ok": _close(ent, expect.entropy_first_cut),
-        })
+        ent = entanglement_entropy(state, Bipartition.from_left({0}, state.n))
+        rows.append(_row("entropy_first_cut", expect.entropy_first_cut, ent,
+                         _close(ent, expect.entropy_first_cut)))
 
     if expect.conjugation_parity is not None:
         conj = charge_conjugate(registry, state)
         dev = max_term_deviation(conj, superpose([(expect.conjugation_parity, state)]))
-        rows.append({
-            "property": "conjugation_parity",
-            "expected": expect.conjugation_parity,
-            "computed": complex(inner_product(state, conj)).real,
-            "ok": dev <= 1e-12,
-        })
+        rows.append(_row("conjugation_parity", expect.conjugation_parity,
+                         complex(inner_product(state, conj)).real, dev <= 1e-12))
 
     if expect.internal_marginal_entangled is not None:
         cut = Bipartition.from_left({0}, state.n)
-        verdict_ppt = ppt_check(internal_charge_marginal(registry, state, cut))
-        rows.append({
-            "property": "internal_marginal_entangled",
-            "expected": expect.internal_marginal_entangled,
-            "computed": verdict_ppt.entangled,
-            "ok": verdict_ppt.entangled == expect.internal_marginal_entangled,
-        })
+        entangled = ppt_check(internal_charge_marginal(registry, state, cut)).entangled
+        rows.append(_row("internal_marginal_entangled", expect.internal_marginal_entangled, entangled,
+                         entangled == expect.internal_marginal_entangled))
 
     if expect.spin_outcome_probabilities is not None:
-        records = measure_spin(registry, state, spin_z_observable(registry, 0))
-        probs = [r.probability for r in records]
-        ok = len(probs) == len(expect.spin_outcome_probabilities) and all(
-            _close(p, e) for p, e in zip(probs, expect.spin_outcome_probabilities)
-        )
-        rows.append({
-            "property": "spin_outcome_probabilities",
-            "expected": list(expect.spin_outcome_probabilities),
-            "computed": probs,
-            "ok": ok,
-        })
+        expected = list(expect.spin_outcome_probabilities)
+        probs = [r.probability for r in measure_spin(registry, state, spin_z_observable(registry, 0))]
+        ok = len(probs) == len(expected) and all(_close(p, e) for p, e in zip(probs, expected))
+        rows.append(_row("spin_outcome_probabilities", expected, probs, ok))
 
     all_ok = all(r["ok"] for r in rows)
     results = {
@@ -183,15 +181,12 @@ def _run_demo(args) -> tuple[int, dict]:
 
 
 def _run_validate(args) -> tuple[int, dict]:
-    registry = load_registry(args.registry)
-    state = load_state(args.state, registry=registry, renormalize=args.normalize)
-    verdict = validate_superselection(registry, state)
+    verdict = validate_superselection(*_load(args))
     if isinstance(verdict, SectorIndex):
         return EXIT_OK, {"status": "single-sector", "sector": str(verdict)}
-    return EXIT_VIOLATION, {
-        "status": "violation",
-        "sectors": {str(q): w for q, w in sorted(verdict.sector_weights.items())},
-    }
+    # strict JSON has no Infinity: an overflowed weight is written as the text report prints it
+    sectors = {str(q): "inf" if math.isinf(w) else w for q, w in sorted(verdict.sector_weights.items())}
+    return EXIT_VIOLATION, {"status": "violation", "sectors": sectors}
 
 
 def _run_basis(args) -> tuple[int, dict]:
@@ -206,7 +201,7 @@ def _run_basis(args) -> tuple[int, dict]:
         files.append(path)
     diag_path = os.path.join(args.out, "diagnostics.json")
     with open(diag_path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(basis.diagnostics, indent=2) + "\n")
+        fh.write(json.dumps(basis.diagnostics, indent=2, allow_nan=False) + "\n")
     findings, metrics = check_basis(basis, registry)
     results = {
         "sector": str(basis.sector),
@@ -220,8 +215,7 @@ def _run_basis(args) -> tuple[int, dict]:
 
 
 def _run_entangle(args) -> tuple[int, dict]:
-    registry = load_registry(args.registry)
-    state = load_state(args.state, registry=registry, renormalize=args.normalize)
+    registry, state = _load(args)
     every = all_bipartitions(state.n)
     cuts = [_parse_cut(c, state.n) for c in args.cut] if args.cut else every
     # one SVD per distinct cut: the reported ones, then the rest the predicates need
@@ -248,62 +242,24 @@ def _run_entangle(args) -> tuple[int, dict]:
 
 
 def _run_measure(args) -> tuple[int, dict]:
-    registry = load_registry(args.registry)
-    state = load_state(args.state, registry=registry, renormalize=args.normalize)
+    registry, state = _load(args)
     if args.observable != "spin-z":
         raise SimulatorError(f"unsupported observable {args.observable!r}; only spin-z is available")
     obs = spin_z_observable(registry, args.register)
     if args.sample:
         record = sample_measurement(registry, state, obs, args.seed)
-        results = {
-            "mode": "sample",
-            "seed": args.seed,
-            "record": {
-                "outcome": record.outcome,
-                "probability": record.probability,
-                "post_state": state_to_dict(record.post_state),
-            },
-        }
-    else:
-        records = measure_spin(registry, state, obs)
-        results = {
-            "mode": "distribution",
-            "records": [
-                {
-                    "outcome": r.outcome,
-                    "probability": r.probability,
-                    "post_state": state_to_dict(r.post_state),
-                }
-                for r in records
-            ],
-        }
-    return EXIT_OK, results
+        return EXIT_OK, {"mode": "sample", "seed": args.seed, "record": _record(record)}
+    records = measure_spin(registry, state, obs)
+    return EXIT_OK, {"mode": "distribution", "records": [_record(r) for r in records]}
 
 
 def _run_conjugate(args) -> tuple[int, dict]:
-    registry = load_registry(args.registry)
-    state = load_state(args.state, registry=registry, renormalize=args.normalize)
-    out = charge_conjugate(registry, state)
-    results = {"state": state_to_dict(out)}
-    if args.out:
-        save_state(out, args.out)
-        results["written"] = args.out
-    return EXIT_OK, results
+    return _state_result(args, charge_conjugate(*_load(args)))
 
 
 def _run_gauge(args) -> tuple[int, dict]:
-    registry = load_registry(args.registry)
-    state = load_state(args.state, registry=registry, renormalize=args.normalize)
-    out = apply_u1_gauge(registry, state, args.component, args.theta)
-    results = {
-        "component": args.component,
-        "theta": args.theta,
-        "state": state_to_dict(out),
-    }
-    if args.out:
-        save_state(out, args.out)
-        results["written"] = args.out
-    return EXIT_OK, results
+    out = apply_u1_gauge(*_load(args), args.component, args.theta)
+    return _state_result(args, out, component=args.component, theta=args.theta)
 
 
 # -- wiring --------------------------------------------------------------------
@@ -311,8 +267,13 @@ def _run_gauge(args) -> tuple[int, dict]:
 def _build_parser() -> _Parser:
     parser = _Parser(prog="superselect", description=__doc__)
     parser.add_argument("--json", action="store_true", help="emit the full machine report as JSON")
-    parser.add_argument("--seed", type=int, default=0, help="seed for all randomness (default 0)")
+    parser.add_argument("--seed", type=_seed, default=0, help="seed for all randomness (default 0)")
     sub = parser.add_subparsers(dest="command", required=True)
+    # the state-file subcommands share these flags, and _load reads them
+    state_file = argparse.ArgumentParser(add_help=False)
+    state_file.add_argument("--registry", required=True)
+    state_file.add_argument("--state", required=True)
+    state_file.add_argument("--normalize", action="store_true", help="renormalize the state on load")
 
     p = sub.add_parser("demo", help="build a canned scenario and verify its expectation block")
     p.add_argument("scenario", choices=SCENARIO_NAMES)
@@ -320,10 +281,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--beta", type=float, default=None)
     p.set_defaults(handler=_run_demo)
 
-    p = sub.add_parser("validate", help="check a state file against superselection")
-    p.add_argument("--registry", required=True)
-    p.add_argument("--state", required=True)
-    p.add_argument("--normalize", action="store_true", help="renormalize the state on load")
+    p = sub.add_parser("validate", parents=[state_file], help="check a state file against superselection")
     p.set_defaults(handler=_run_validate)
 
     p = sub.add_parser("basis", help="build a packaged entangled basis for one charge sector")
@@ -337,40 +295,29 @@ def _build_parser() -> _Parser:
     )
     p.add_argument("--out", default="basis_out", help="output directory (default: basis_out)")
     # SUPPRESS keeps the global --seed when the subcommand flag is absent
-    p.add_argument("--seed", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--seed", type=_seed, default=argparse.SUPPRESS)
     p.set_defaults(handler=_run_basis)
 
-    p = sub.add_parser("entangle", help="Schmidt spectrum, entropy, and entanglement predicates")
-    p.add_argument("--registry", required=True)
-    p.add_argument("--state", required=True)
+    p = sub.add_parser("entangle", parents=[state_file],
+                       help="Schmidt spectrum, entropy, and entanglement predicates")
     p.add_argument("--cut", action="append", help="left-side register indices, e.g. '0,2'; repeatable")
-    p.add_argument("--normalize", action="store_true")
     p.set_defaults(handler=_run_entangle)
 
-    p = sub.add_parser("measure", help="projective spin measurement on one register")
-    p.add_argument("--registry", required=True)
-    p.add_argument("--state", required=True)
+    p = sub.add_parser("measure", parents=[state_file], help="projective spin measurement on one register")
     p.add_argument("--register", type=int, required=True)
     p.add_argument("--observable", default="spin-z")
     p.add_argument("--sample", action="store_true", help="draw one outcome instead of the distribution")
-    p.add_argument("--seed", type=int, default=argparse.SUPPRESS)
-    p.add_argument("--normalize", action="store_true")
+    p.add_argument("--seed", type=_seed, default=argparse.SUPPRESS)
     p.set_defaults(handler=_run_measure)
 
-    p = sub.add_parser("conjugate", help="apply charge conjugation to a state file")
-    p.add_argument("--registry", required=True)
-    p.add_argument("--state", required=True)
+    p = sub.add_parser("conjugate", parents=[state_file], help="apply charge conjugation to a state file")
     p.add_argument("--out", default=None, help="write the conjugated state here")
-    p.add_argument("--normalize", action="store_true")
     p.set_defaults(handler=_run_conjugate)
 
-    p = sub.add_parser("gauge", help="apply a U(1) gauge phase to a state file")
-    p.add_argument("--registry", required=True)
-    p.add_argument("--state", required=True)
+    p = sub.add_parser("gauge", parents=[state_file], help="apply a U(1) gauge phase to a state file")
     p.add_argument("--component", required=True, help="gauged charge component name")
     p.add_argument("--theta", type=float, required=True, help="angle in radians")
     p.add_argument("--out", default=None)
-    p.add_argument("--normalize", action="store_true")
     p.set_defaults(handler=_run_gauge)
 
     return parser
@@ -438,7 +385,7 @@ def main(argv=None) -> int:
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
     }
     if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
+        print(json.dumps(report, indent=2, sort_keys=True, allow_nan=False))
     else:
         sys.stdout.write(_render_text(report, code))
     return code

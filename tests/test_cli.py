@@ -55,6 +55,14 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def strict_json(text):
+    # json.loads reads Infinity and NaN, which strict parsers refuse
+    def refuse(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
 def test_demo_bell_plus(capsys):
     code, out, _ = run(capsys, "demo", "bell_plus")
     assert code == 0
@@ -65,10 +73,17 @@ def test_demo_bell_plus(capsys):
 @pytest.mark.parametrize("name", SCENARIO_NAMES)
 def test_every_demo_verifies(capsys, name):
     code, out, err = run(capsys, "--json", "demo", name)
-    report = json.loads(out)
+    report = strict_json(out)
     assert code == 0 and err == ""
     assert report["results"]["verified"] is True
     assert all(row["ok"] for row in report["results"]["verification"])
+
+
+@pytest.mark.parametrize("name", ["hybrid_pair", "meson_superposition"])
+def test_demo_refuses_amplitudes_whose_squares_overflow(capsys, name):
+    code, out, err = run(capsys, "demo", name, "--alpha", "1e308", "--beta", "1e308")
+    assert code == 1 and out == ""
+    assert err == "superselect: error: |alpha|^2 + |beta|^2 = inf, expected 1\n"
 
 
 def test_module_entry_point_exits_with_the_command_status(tmp_path):
@@ -116,6 +131,21 @@ def test_validate_rejects_cross_sector_with_exit_2(capsys, workdir):
     assert set(sectors) == {"(-2)", "(2)"}
     assert sectors["(-2)"] == pytest.approx(0.5, abs=1e-12)
     assert sectors["(2)"] == pytest.approx(0.5, abs=1e-12)
+
+
+def test_validate_json_spells_an_overflowed_weight_inf(capsys, workdir):
+    huge = {"re": 1e308, "im": 1e308}
+    path = workdir / "huge_cross.json"
+    path.write_text(json.dumps({"n": 2, "terms": [
+        {"labels": [{"species": "e-", "spin": 0}, {"species": "e+", "spin": 0}], **huge},
+        {"labels": [{"species": "e-", "spin": 0}, {"species": "e-", "spin": 0}], **huge},
+    ]}))
+    argv = ("validate", "--registry", str(workdir / "ep.json"), "--state", str(path))
+    code, out, _ = run(capsys, "--json", *argv)
+    assert code == 2
+    assert strict_json(out)["results"]["sectors"] == {"(-2)": "inf", "(0)": "inf"}
+    code, out, _ = run(capsys, *argv)
+    assert code == 2 and "    (-2): inf\n    (0): inf\n" in out
 
 
 def test_validate_accepts_meson_flavor_superposition(capsys, workdir):
@@ -227,6 +257,55 @@ def test_measure_distribution_and_sampling(capsys, workdir):
     assert code == 0 and "distribution" in out
     code, out, _ = run(capsys, "--seed", "7", *args, "--sample")
     assert code == 0 and "sample" in out
+
+
+_MEASURE = ("--registry", "{dir}/ep.json", "--state", "{dir}/bell_plus.json", "--register", "0", "--sample")
+# e± n=3 in sector (-1) mixes, so the seed reaches numpy; (0) at n=2 would not
+_BASIS = ("--registry", "{dir}/ep.json", "--registers", "3", "--charge=-1", "--out", "{dir}/b")
+
+
+@pytest.mark.parametrize("argv", [
+    ("--seed", "-1", "measure", *_MEASURE),
+    ("measure", *_MEASURE, "--seed", "-1"),
+    ("--seed", "-5", "basis", *_BASIS),
+    ("basis", *_BASIS, "--seed", "-5"),
+], ids=["global-measure", "measure", "global-basis", "basis"])
+def test_negative_seed_exits_1_naming_the_flag(capsys, workdir, argv):
+    with pytest.raises(SystemExit) as excinfo:
+        main([a.format(dir=workdir) for a in argv])
+    out, err = capsys.readouterr()
+    assert excinfo.value.code == 1 and out == ""
+    assert err.count("\n") == 1 and "argument --seed: must be a non-negative integer" in err
+    assert not (workdir / "b").exists()
+
+
+_FILE_COMMANDS = {
+    "validate": (),
+    "entangle": (),
+    "measure": ("--register", "0"),
+    "conjugate": ("--out", "{out}"),
+    "gauge": ("--component", "electric", "--theta", "0.5", "--out", "{out}"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_FILE_COMMANDS))
+def test_file_subcommands_share_normalize_and_require_state(capsys, workdir, command):
+    _, bell, _ = build_scenario("bell_plus")
+    doubled = workdir / "doubled.json"
+    save_state(StateVector({basis: 2 * amp for basis, amp in bell.terms.items()}), str(doubled))
+    out_path = workdir / f"{command}_out.json"
+    tail = [a.format(out=out_path) for a in _FILE_COMMANDS[command]]
+    registry = ("--registry", str(workdir / "ep.json"))
+    code, _, err = run(capsys, command, *registry, "--state", str(doubled), "--normalize", *tail)
+    assert code == 0 and err == ""
+    if "--out" in tail:
+        assert load_state(str(out_path)).norm() == pytest.approx(1.0, abs=1e-12)
+
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, *registry, *tail])
+    out, err = capsys.readouterr()
+    assert excinfo.value.code == 1 and out == ""
+    assert err == f"superselect {command}: error: the following arguments are required: --state\n"
 
 
 def test_conjugate_and_gauge_round_trip(capsys, workdir):
