@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -33,6 +34,7 @@ from .states import (
     inner_product,
     load_state,
     max_term_deviation,
+    require_normalized,
     require_single_sector,
     save_state,
     state_to_dict,
@@ -218,11 +220,13 @@ def _run_entangle(args) -> tuple[int, dict]:
     registry, state = _load(args)
     every = all_bipartitions(state.n)
     cuts = [_parse_cut(c, state.n) for c in args.cut] if args.cut else every
+    # a bad norm, then a cross-sector state, is refused before any cut is ranked
+    require_normalized(state)
+    require_single_sector(registry, state)
     # one SVD per distinct cut: the reported ones, then the rest the predicates need
     scanned = list(dict.fromkeys(cuts + every))
     spectra = dict(zip(scanned, cut_spectra(state, scanned)))
     rank = {cut: result.rank for cut, result in spectra.items()}  # derived once per cut
-    require_single_sector(registry, state)
     per_cut = [
         {
             "cut": str(cut),
@@ -264,6 +268,7 @@ def _run_gauge(args) -> tuple[int, dict]:
 
 # -- wiring --------------------------------------------------------------------
 
+@functools.cache  # built on the first main call, then shared by every later one
 def _build_parser() -> _Parser:
     parser = _Parser(prog="superselect", description=__doc__)
     parser.add_argument("--json", action="store_true", help="emit the full machine report as JSON")

@@ -90,6 +90,10 @@ def all_bipartitions(n: int) -> list[Bipartition]:
 
 #: Largest mixed-radix key a cut side may build before it is re-compressed.
 _KEY_LIMIT = int(np.iinfo(np.int64).max)
+#: Most keys (states x cut sides) one ranking pass builds; about 40 bytes each.
+_RANK_BLOCK_KEYS = 1 << 19
+#: Most bytes one batched SVD stack of cut matrices takes.
+_SVD_STACK_BYTES = 1 << 25
 
 
 class CutPlan:
@@ -97,12 +101,15 @@ class CutPlan:
 
     Each register's labels get integer codes once, in sorted label order. A
     cut side's configurations are then ranked with numpy alone: the codes of
-    its registers are folded into mixed-radix keys, one register at a time,
-    and ``np.unique`` ranks the keys. Since the codes follow label order, the
-    ranks follow the sorted order of the side's label tuples, which is the
-    row and column order ``amplitude_matrix`` promises. A key that would
-    outgrow int64 is first re-compressed to its rank among the distinct keys,
-    so any register count works.
+    its registers form a mixed-radix key (the first register most
+    significant), and the distinct keys are ranked in sorted order. Since the
+    codes follow label order, the ranks follow the sorted order of the side's
+    label tuples, which is the row and column order ``amplitude_matrix``
+    promises. Both sides of a block of cuts are ranked in one pass: one
+    integer product builds every side's keys, one stable argsort per side
+    orders them, and a running count of key changes gives the ranks. Where a
+    side's keys could outgrow int64, each side is ranked by ``side``, which
+    re-compresses its key as it goes, so any register count works.
     """
 
     def __init__(self, states, n: int):
@@ -131,13 +138,57 @@ class CutPlan:
         _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
         return inverse, first
 
+    def _rank(self, cuts) -> None:
+        """Fill the index cache for every uncached cut of ``cuts`` in one pass."""
+        cuts = [cut for cut in dict.fromkeys(cuts) if cut not in self._cut_index]
+        if not cuts:
+            return
+        for cut in cuts:
+            cut.check(self.n)
+        left = np.zeros((len(cuts), self.n), dtype=bool)
+        left.ravel()[[i * self.n + r for i, cut in enumerate(cuts) for r in cut.left]] = True
+        member = np.concatenate([left, ~left])  # every cut's left side, then every right side
+        if math.prod(self.radices) > _KEY_LIMIT:  # a side's keys could outgrow int64
+            sides = [self.side(np.flatnonzero(m).tolist()) for m in member]
+        else:
+            sides = self._rank_sides(member)
+        for cut, (rows, lfirst), (cols, rfirst) in zip(cuts, sides, sides[len(cuts):]):
+            self._cut_index[cut] = rows, cols, lfirst, rfirst
+
+    def _rank_sides(self, member: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+        """What ``side`` gives for each (sides x n) ``member`` row, from one pass.
+
+        A state's rank is the number of distinct smaller keys, and the first
+        state of a rank is the first of its keys in stable order, as
+        ``np.unique(return_index=True)`` picks it.
+        """
+        # a register's place value: the product of the radices of the side's later registers
+        radix = np.where(member, self.radices, 1)
+        place = np.ones_like(radix)
+        place[:, :-1] = np.cumprod(radix[:, :0:-1], axis=1)[:, ::-1]
+        keys = (place * member) @ self.codes.T  # (sides, states)
+        order = np.argsort(keys, axis=1, kind="stable")
+        new = np.ones(keys.shape, dtype=bool)  # where a sorted key differs from the one before
+        ordered = np.take_along_axis(keys, order, axis=1)
+        np.not_equal(ordered[:, 1:], ordered[:, :-1], out=new[:, 1:])
+        ranks = np.empty_like(order)
+        np.put_along_axis(ranks, order, np.cumsum(new, axis=1) - 1, axis=1)
+        firsts = order[new]  # side by side
+        bounds = [0, *np.cumsum(new.sum(axis=1)).tolist()]
+        return [(rank, firsts[a:b]) for rank, a, b in zip(ranks, bounds, bounds[1:])]
+
+    def ranked(self, cuts: list[Bipartition]):
+        """Yield ``cuts`` in order, ranking each block of them as it is reached."""
+        size = max(1, _RANK_BLOCK_KEYS // (2 * max(len(self.states), 1)))
+        for start in range(0, len(cuts), size):
+            block = cuts[start:start + size]
+            self._rank(block)
+            yield from block
+
     def index(self, cut: Bipartition) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Each state's row and column across ``cut``, and each row's and column's first state."""
         if cut not in self._cut_index:
-            cut.check(self.n)
-            rows, lfirst = self.side(sorted(cut.left))
-            cols, rfirst = self.side(sorted(cut.right))
-            self._cut_index[cut] = rows, cols, lfirst, rfirst
+            self._rank([cut])
         return self._cut_index[cut]
 
     def matrices(self, cut: Bipartition, columns: np.ndarray) -> np.ndarray:
@@ -199,10 +250,28 @@ class SchmidtResult:
 
 
 def _spectra(vec: StateVector, cuts) -> list[SchmidtResult]:
-    """One plan for the state's support, then one SVD of its amplitude column per cut."""
+    """One plan for the state's support, every distinct cut ranked in blocks,
+    then one batched SVD per (L, R) shape of cut matrix, chunked to
+    ``_SVD_STACK_BYTES``. LAPACK solves each matrix of a stack on its own, so
+    every spectrum is bit for bit that of the cut's own SVD."""
     plan = CutPlan(vec.terms, vec.n)
-    column = _amplitudes(vec)[:, None]
-    return [SchmidtResult(plan.singular_values(cut, column)[0]) for cut in cuts]
+    amplitudes = _amplitudes(vec)
+    cuts = list(cuts)
+    by_shape: dict[tuple[int, int], list[Bipartition]] = {}
+    for cut in plan.ranked(list(dict.fromkeys(cuts))):
+        _, _, lfirst, rfirst = plan.index(cut)
+        by_shape.setdefault((len(lfirst), len(rfirst)), []).append(cut)
+    values = {}
+    for (left, right), group in by_shape.items():
+        size = max(1, _SVD_STACK_BYTES // (16 * left * right))
+        for start in range(0, len(group), size):
+            chunk = group[start:start + size]
+            stack = np.zeros((len(chunk), left, right), dtype=complex)
+            for k, cut in enumerate(chunk):
+                rows, cols, _, _ = plan.index(cut)
+                stack[k, rows, cols] = amplitudes
+            values.update(zip(chunk, np.linalg.svd(stack, compute_uv=False)))
+    return [SchmidtResult(values[cut]) for cut in cuts]
 
 
 def cut_spectra(vec: StateVector, cuts) -> list[SchmidtResult]:
@@ -283,14 +352,15 @@ def is_entangled_somewhere(registry: SpeciesRegistry, vec: StateVector) -> Entan
 def every_cut_entangled(plan: CutPlan, columns: np.ndarray) -> list[bool]:
     """The every-cut predicate on each column of coordinates over ``plan.states``.
 
-    Per cut, all columns still in play share one batched SVD; a column that
-    factorizes on a cut is not checked on later ones. A column's verdict is
+    Cuts are ranked block by block as the loop reaches them. Per cut, all
+    columns still in play share one batched SVD; a column that factorizes on
+    a cut is not checked on later ones. A column's verdict is
     that of ``is_packaged_entangled`` on its state: padding a cut matrix with
     the zero rows and columns of the plan's wider support leaves its nonzero
     singular values unchanged up to rounding.
     """
     verdict = np.full(columns.shape[1], plan.n > 1)
-    for cut in all_bipartitions(plan.n):
+    for cut in plan.ranked(all_bipartitions(plan.n)):
         live = np.flatnonzero(verdict)
         if not live.size:
             break
@@ -351,6 +421,16 @@ def _eigvalsh_blocks(mat: np.ndarray) -> np.ndarray:
     return np.sort(np.concatenate(spectra))
 
 
+def _hermiticity_deviation(mat: np.ndarray) -> float:
+    """The largest |mat[i, j] - conj(mat[j, i])|, read over the nonzero pattern.
+
+    A nonzero deviation needs mat[i, j] or mat[j, i] nonzero, and the pattern
+    holds both orders of such a pair, so this is the dense maximum bit for bit.
+    """
+    i, j = np.nonzero(mat)
+    return float(np.max(np.abs(mat[i, j] - mat[j, i].conj()), initial=0.0))
+
+
 class DensityMatrix:
     """Hermitian, PSD, unit-trace matrix over a labeled product basis.
 
@@ -371,7 +451,7 @@ class DensityMatrix:
             )
         if not np.all(np.isfinite(entries)):
             raise DomainError("density matrix has non-finite entries")
-        if np.max(np.abs(entries - entries.conj().T)) > HERMITICITY_TOL:
+        if _hermiticity_deviation(entries) > HERMITICITY_TOL:
             raise DomainError("density matrix is not Hermitian")
         eigs = _eigvalsh_blocks(entries)
         if eigs.min() < -PPT_TOL:
@@ -426,9 +506,14 @@ def internal_charge_marginal(
         cols.append(index[tuple(l.species_id for l in state.labels)])
     by_spin = np.zeros((len(spin_rows), dim), dtype=complex)
     by_spin[rows, cols] += _amplitudes(vec) / vec.norm()
+    # outside its support block an outer product holds only zeros, and adding a
+    # zero leaves an entry as it is (no sum here is -0.0), so the block sums
+    # are the dense ones bit for bit
     rho = np.zeros((dim, dim), dtype=complex)
     for row in by_spin:
-        rho += np.outer(row, row.conj())
+        support = np.flatnonzero(row)
+        block = np.ix_(support, support)
+        rho[block] += np.outer(row[support], row[support].conj())
     return DensityMatrix(rho, alphabets, cut=cut)
 
 

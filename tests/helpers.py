@@ -186,6 +186,12 @@ def reference_amplitude_matrix(vec: StateVector, cut):
     return mat, lkeys, rkeys
 
 
+def reference_cut_spectra(vec: StateVector, cuts) -> list[np.ndarray]:
+    """Each cut's singular values from its own SVD of ``reference_amplitude_matrix``,
+    one cut at a time; ``cut_spectra`` must reproduce them bit for bit."""
+    return [np.linalg.svd(reference_amplitude_matrix(vec, cut)[0], compute_uv=False) for cut in cuts]
+
+
 # -- label-set reference for the builder's structural test -----------------------
 
 def reference_admits_entangled(states: list[BasisState]) -> bool:

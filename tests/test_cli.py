@@ -9,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+import superselect.cli as cli_module
 import superselect.fock as fock
 from superselect.charges import save_registry
 from superselect.cli import main
@@ -26,8 +27,16 @@ from superselect.scenarios import (
     electron_positron_registry,
     neutral_kaon_registry,
 )
+from superselect.errors import DomainError, SuperselectionError
 from superselect.fock import BasisState, RegisterLabel
-from superselect.states import StateVector, inner_product, load_state, save_state
+from superselect.states import (
+    StateVector,
+    inner_product,
+    load_state,
+    require_normalized,
+    require_single_sector,
+    save_state,
+)
 
 from helpers import dyon_registry, random_sector_superposition
 
@@ -244,6 +253,39 @@ def test_entangle_exits_2_on_cross_sector_state(capsys, workdir):
     )
     assert code == 2
     assert "superselection" in err
+
+
+def _refuse_cut_work(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("cuts were scanned before the state was admitted")
+
+    monkeypatch.setattr(cli_module, "cut_spectra", refuse)
+
+
+def test_entangle_refuses_a_cross_sector_state_before_scanning_cuts(capsys, workdir, monkeypatch):
+    reg = electron_positron_registry(1)
+    state = load_state(str(workdir / "forbidden_pm2e.json"), registry=reg)
+    with pytest.raises(SuperselectionError) as excinfo:
+        require_single_sector(reg, state)
+    _refuse_cut_work(monkeypatch)
+    code, out, err = run(capsys, "entangle", "--registry", str(workdir / "ep.json"),
+                         "--state", str(workdir / "forbidden_pm2e.json"))
+    assert (code, out) == (2, "")
+    assert err == f"superselect: superselection violation: {excinfo.value}\n"
+
+
+def test_entangle_reports_a_bad_norm_before_a_cross_sector_state(capsys, workdir, monkeypatch):
+    reg = electron_positron_registry(1)
+    state = load_state(str(workdir / "forbidden_pm2e.json"), registry=reg)
+    doubled = StateVector({b: 2 * a for b, a in state.terms.items()})
+    save_state(doubled, str(workdir / "doubled.json"))
+    with pytest.raises(DomainError) as excinfo:
+        require_normalized(doubled)
+    _refuse_cut_work(monkeypatch)
+    code, out, err = run(capsys, "entangle", "--registry", str(workdir / "ep.json"),
+                         "--state", str(workdir / "doubled.json"))
+    assert (code, out) == (1, "")
+    assert err == f"superselect: error: {excinfo.value}\n"
 
 
 def test_measure_distribution_and_sampling(capsys, workdir):
@@ -515,3 +557,45 @@ def test_color_toggle(capsys, monkeypatch):
     monkeypatch.setenv("SUPERSELECT_NO_COLOR", "1")
     _, plain, _ = run(capsys, "demo", "bell_plus")
     assert "\x1b[" not in plain
+
+
+def _calls(capsys, sequence, fresh_parser: bool):
+    """Exit code, stdout without its timestamp line, and stderr of each call."""
+    results = []
+    for argv in sequence:
+        if fresh_parser:
+            cli_module._build_parser.cache_clear()
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # argparse's usage errors leave main this way
+            code = exc.code
+        captured = capsys.readouterr()
+        results.append((code, _strip_timestamp(captured.out), captured.err))
+    return results
+
+
+@pytest.mark.parametrize("sequence", ["basis-seeds", "entangle-cuts", "usage-error-then-success"])
+def test_a_reused_parser_reports_what_a_fresh_one_does(capsys, workdir, sequence):
+    ep, bell = str(workdir / "ep.json"), str(workdir / "bell_plus.json")
+    basis = ("basis", "--registry", ep, "--registers", "3", "--charge", "-1", "--out", str(workdir / "b"))
+    entangle = ("entangle", "--registry", ep, "--state", bell)
+    # (argv, exit code, reported seed) per call
+    sequence = {
+        "basis-seeds": [((*basis, "--seed", "5"), 0, 5), (("--seed", "7", *basis), 0, 7), (basis, 0, 0)],
+        "entangle-cuts": [((*entangle, "--cut", "1"), 0, 0), (entangle, 0, 0),
+                          (("--json", *entangle, "--cut", "0"), 0, 0)],
+        "usage-error-then-success": [(("entangle", "--registry", ep), 1, None), (entangle, 0, 0),
+                                     (("--seed", "-1", *entangle), 1, None), (("demo", "bell_plus"), 0, 0)],
+    }[sequence]
+    argvs = [argv for argv, _, _ in sequence]
+    fresh = _calls(capsys, argvs, fresh_parser=True)
+    cli_module._build_parser.cache_clear()
+    reused = _calls(capsys, argvs, fresh_parser=False)
+    assert cli_module._build_parser.cache_info().misses == 1
+    assert reused == fresh
+    for (code, out, err), (argv, want_code, seed) in zip(fresh, sequence):
+        assert code == want_code, argv
+        if seed is None:
+            assert out == "" and err.startswith("superselect") and ": error: " in err
+        else:
+            assert err == "" and (f"seed: {seed}\n" in out or f'"seed": {seed},' in out)

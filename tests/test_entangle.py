@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 import superselect.entangle as entangle_module
 from superselect.entangle import (
     Bipartition,
+    CutPlan,
     DensityMatrix,
     all_bipartitions,
     amplitude_matrix,
@@ -22,7 +23,7 @@ from superselect.entangle import (
     schmidt,
 )
 from superselect.errors import ConfigurationError, DomainError, SuperselectionError
-from superselect.fock import BasisState, RegisterLabel
+from superselect.fock import BasisState, RegisterLabel, register_alphabet
 from superselect.scenarios import (
     build_scenario,
     color_toy_registry,
@@ -37,8 +38,10 @@ from helpers import (
     mixed_spin_registry,
     oracle_entangled_somewhere,
     oracle_packaged_entangled,
+    random_sector_superposition,
     random_single_sector_state,
     reference_amplitude_matrix,
+    reference_cut_spectra,
     reference_density_admission,
     reference_internal_marginal,
     reference_ppt_check,
@@ -316,6 +319,72 @@ def test_schmidt_on_seventy_registers_does_not_overflow(monkeypatch):
         assert mat.tobytes() == ref.tobytes() and (lkeys, rkeys) == (ref_lkeys, ref_rkeys)
 
 
+def _random_support(rng, registry, n):
+    """Distinct random product states on n registers, sectors mixed, so some
+    registers hold one label and others many."""
+    alphabet = register_alphabet(registry)
+    width = rng.integers(1, len(alphabet) + 1, size=n)  # labels in play per register
+    picks = rng.integers(0, width, size=(int(rng.integers(1, 60)), n))
+    return list(dict.fromkeys(BasisState(tuple(alphabet[i] for i in row)) for row in picks))
+
+
+def _assert_index_is_per_side(plan, cut):
+    rows, cols, lfirst, rfirst = plan.index(cut)
+    want_rows, want_lfirst = plan.side(sorted(cut.left))
+    want_cols, want_rfirst = plan.side(sorted(cut.right))
+    for got, want in ((rows, want_rows), (cols, want_cols), (lfirst, want_lfirst), (rfirst, want_rfirst)):
+        assert np.array_equal(got, want), str(cut)
+
+
+@pytest.mark.parametrize("budget", [None, 1, 3, 200], ids=["default", "keys1", "keys3", "keys200"])
+@pytest.mark.parametrize("name", sorted(TEST_REGISTRIES))
+def test_block_ranked_index_equals_per_side_ranking(monkeypatch, name, budget):
+    """Every side of a block ranked in one pass equals its own ``side`` ranking,
+    across block sizes, duplicate cuts and both orientations of each cut."""
+    if budget is not None:
+        monkeypatch.setattr(entangle_module, "_RANK_BLOCK_KEYS", budget)
+    reg = TEST_REGISTRIES[name]
+    rng = np.random.default_rng(100 + sorted(TEST_REGISTRIES).index(name))
+    for n in range(2, 9):
+        plan = CutPlan(_random_support(rng, reg, n), n)
+        cuts = _every_side(n)  # both orientations of every cut
+        requested = cuts + cuts[::3]  # and some twice
+        assert list(plan.ranked(requested)) == requested
+        for cut in requested:
+            _assert_index_is_per_side(plan, cut)
+
+
+def test_block_ranking_keeps_the_recompressing_side_for_keys_past_int64():
+    vec = _two_term_state(70)
+    labels = list(next(iter(vec.terms)).labels)
+    labels[1], labels[2] = labels[2], labels[1]
+    plan = CutPlan([*vec.terms, BasisState(tuple(labels))], 70)
+    # 2^69 right-side keys overflow; 2^35 and the even registers' 2^35 do not
+    lefts = ({0}, set(range(35)), set(range(0, 70, 2)), set(range(1, 70)))
+    cuts = [Bipartition.from_left(left, 70) for left in lefts]
+    assert list(plan.ranked(cuts + cuts[:1])) == cuts + cuts[:1]
+    for cut in cuts:
+        _assert_index_is_per_side(plan, cut)
+
+
+@pytest.mark.parametrize("stack_bytes", [None, 1, 3 * 16 * 4], ids=["default", "one-matrix", "small"])
+@pytest.mark.parametrize("name", sorted(TEST_REGISTRIES))
+def test_cut_spectra_equal_one_svd_per_cut(monkeypatch, name, stack_bytes):
+    """Batched per (L, R) shape, in stacks of any size, each spectrum is bit for
+    bit that of its own SVD, returned in the order asked, duplicates included."""
+    if stack_bytes is not None:
+        monkeypatch.setattr(entangle_module, "_SVD_STACK_BYTES", stack_bytes)
+    reg = TEST_REGISTRIES[name]
+    rng = np.random.default_rng(200 + sorted(TEST_REGISTRIES).index(name))
+    for n in range(2, 6):
+        vec = random_sector_superposition(rng, reg, n, max_support=40)
+        cuts = _every_side(n)
+        cuts = cuts + cuts[::2]
+        got = cut_spectra(vec, cuts)
+        for cut, result, want in zip(cuts, got, reference_cut_spectra(vec, cuts)):
+            assert result.singular_values.tobytes() == want.tobytes(), str(cut)
+
+
 # -- internal marginals ----------------------------------------------------------
 
 
@@ -487,6 +556,38 @@ def test_density_matrix_admission_errors_match_the_dense_reference():
         assert _raised(DensityMatrix, entries, alphabets) == _raised(
             reference_density_admission, entries, alphabets
         )
+
+
+def test_hermiticity_deviation_on_the_nonzero_pattern_is_the_dense_one():
+    rng = np.random.default_rng(41)
+    mats = [np.zeros((3, 3), dtype=complex), np.array([[0.0, 0.0], [-0.0, 0.0]], dtype=complex)]
+    for _ in range(300):
+        dim = int(rng.integers(1, 12))
+        mat = (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))) * 10.0 ** rng.integers(-12, 3)
+        mat = mat + mat.conj().T if rng.random() < 0.5 else mat
+        mat[rng.random((dim, dim)) < rng.random()] = 0.0  # zeros, often on one side of a pair only
+        mat[rng.random((dim, dim)) < 0.1] = complex(-0.0, -0.0)
+        mats.append(mat)
+    for mat in mats:
+        dense = float(np.max(np.abs(mat - mat.conj().T)))
+        assert entangle_module._hermiticity_deviation(mat) == dense
+
+
+@pytest.mark.parametrize(
+    "make_registry, n",
+    [(lambda: electron_positron_registry(2), 6), (lambda: electron_positron_registry(3), 4),
+     (mixed_spin_registry, 4)],
+    ids=["spin2-n6", "spin3-n4", "mixed-spin-n4"],
+)
+def test_marginal_support_blocks_sum_to_the_dense_accumulation(make_registry, n):
+    reg = make_registry()
+    rng = np.random.default_rng(83)
+    for _ in range(6):
+        vec = random_sector_superposition(rng, reg, n, max_support=300)
+        want, alphabets = reference_internal_marginal(vec)
+        rho = internal_charge_marginal(reg, vec)
+        assert rho.register_alphabets == alphabets
+        assert rho.entries.tobytes() == want.tobytes()
 
 
 # -- block spectra -----------------------------------------------------------------
