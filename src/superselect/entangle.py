@@ -88,11 +88,12 @@ def all_bipartitions(n: int) -> list[Bipartition]:
     return cuts
 
 
-#: Largest mixed-radix key a cut side may build before it is re-compressed.
+#: Largest mixed-radix key the block ranking pass may build.
 _KEY_LIMIT = int(np.iinfo(np.int64).max)
 #: Most keys (states x cut sides) one ranking pass builds; about 40 bytes each.
 _RANK_BLOCK_KEYS = 1 << 19
-#: Most bytes one batched SVD stack of cut matrices takes.
+#: Most bytes one batched SVD stack of cut matrices takes, or one matrix if
+#: a single matrix is larger.
 _SVD_STACK_BYTES = 1 << 25
 
 
@@ -108,8 +109,13 @@ class CutPlan:
     promises. Both sides of a block of cuts are ranked in one pass: one
     integer product builds every side's keys, one stable argsort per side
     orders them, and a running count of key changes gives the ranks. Where a
-    side's keys could outgrow int64, each side is ranked by ``side``, which
-    re-compresses its key as it goes, so any register count works.
+    side's keys could outgrow int64, each side is ranked by ``side``, one
+    lexicographic ``np.unique`` over its code rows, so any register count
+    works.
+
+    ``stack`` is the one scatter of amplitude columns into cut matrices and
+    ``spectra`` the one batched SVD over them, in stacks of at most
+    ``_SVD_STACK_BYTES``.
     """
 
     def __init__(self, states, n: int):
@@ -127,16 +133,10 @@ class CutPlan:
     def side(self, registers) -> tuple[np.ndarray, np.ndarray]:
         """Each state's rank among the distinct configurations of ``registers``
         (in sorted label-tuple order), and the first state showing each one."""
-        key = np.zeros(len(self.states), dtype=np.int64)
-        bound = 1  # exclusive upper bound on key, as a Python int
-        for r in registers:
-            if bound * self.radices[r] > _KEY_LIMIT:
-                _, key = np.unique(key, return_inverse=True)
-                bound = len(self.states)
-            key = key * self.radices[r] + self.codes[:, r]
-            bound *= self.radices[r]
-        _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-        return inverse, first
+        _, first, inverse = np.unique(
+            self.codes[:, registers], axis=0, return_index=True, return_inverse=True
+        )
+        return inverse.reshape(-1), first
 
     def _rank(self, cuts) -> None:
         """Fill the index cache for every uncached cut of ``cuts`` in one pass."""
@@ -187,20 +187,51 @@ class CutPlan:
 
     def index(self, cut: Bipartition) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Each state's row and column across ``cut``, and each row's and column's first state."""
-        if cut not in self._cut_index:
+        entry = self._cut_index.get(cut)  # one hash of the cut when it is cached
+        if entry is None:
             self._rank([cut])
-        return self._cut_index[cut]
+            entry = self._cut_index[cut]
+        return entry
 
-    def matrices(self, cut: Bipartition, columns: np.ndarray) -> np.ndarray:
-        """The (k, L, R) stack of cut matrices of the (states x k) ``columns``."""
-        rows, cols, lfirst, rfirst = self.index(cut)
-        stack = np.zeros((columns.shape[1], len(lfirst), len(rfirst)), dtype=complex)
-        stack[:, rows, cols] = columns.T
+    def stack(self, cuts: list[Bipartition], columns: np.ndarray) -> np.ndarray:
+        """The (cuts, k, L, R) stack of the cut matrices of the (states x k)
+        ``columns`` across each of ``cuts``, all of one shape."""
+        _, _, lfirst, rfirst = self.index(cuts[0])
+        stack = np.zeros((len(cuts), columns.shape[1], len(lfirst), len(rfirst)), dtype=complex)
+        for c, cut in enumerate(cuts):
+            rows, cols, _, _ = self.index(cut)
+            # the slice between the advanced indices puts their (states,) axis first
+            stack[c, :, rows, cols] = columns
         return stack
 
-    def singular_values(self, cut: Bipartition, columns: np.ndarray) -> np.ndarray:
-        """Each column's singular values across ``cut``, descending: one batched SVD."""
-        return np.linalg.svd(self.matrices(cut, columns), compute_uv=False)
+    def spectra(self, cuts: list[Bipartition], columns: np.ndarray) -> np.ndarray:
+        """The (cuts, k, min(L, R)) singular values, descending, of ``stack``'s matrices.
+
+        Each SVD stack takes at most ``_SVD_STACK_BYTES``, or one matrix if a
+        single matrix is larger: whole cuts per stack while all k columns
+        fit, else one cut's columns in blocks. LAPACK solves each matrix of a
+        stack on its own, so the values do not depend on the blocking.
+        """
+        k = columns.shape[1]
+        _, _, lfirst, rfirst = self.index(cuts[0])
+        size = 16 * len(lfirst) * len(rfirst)  # bytes of one complex matrix
+        fit = _SVD_STACK_BYTES // size if size else len(cuts) * k  # matrices per stack
+        if fit >= len(cuts) * k:
+            blocks = [(cuts, columns)]
+        else:
+            step, width = (fit // k, k) if fit >= k else (1, max(fit, 1))  # cuts, columns per stack
+            blocks = [
+                (cuts[a:a + step], columns[:, b:b + width])
+                for a in range(0, len(cuts), step)
+                for b in range(0, k, width)
+            ]
+        parts = [np.linalg.svd(self.stack(*block), compute_uv=False) for block in blocks]
+        if len(parts) == 1:
+            return parts[0]
+        if fit >= k:  # whole cuts per stack
+            return np.concatenate(parts)
+        # one cut per stack: its column blocks in order, then the next cut's
+        return np.concatenate(parts, axis=1).reshape(len(cuts), k, min(len(lfirst), len(rfirst)))
 
 
 def _ranks(values: np.ndarray) -> np.ndarray:
@@ -221,7 +252,7 @@ def amplitude_matrix(vec: StateVector, cut: Bipartition):
     singular values are unaffected by this choice.
     """
     plan = CutPlan(vec.terms, vec.n)
-    mat = plan.matrices(cut, _amplitudes(vec)[:, None])[0]
+    mat = plan.stack([cut], _amplitudes(vec)[:, None])[0, 0]
     _, _, lfirst, rfirst = plan.index(cut)
     lidx, ridx = sorted(cut.left), sorted(cut.right)
     lkeys = [tuple(plan.states[i].labels[r] for r in lidx) for i in lfirst]
@@ -251,26 +282,18 @@ class SchmidtResult:
 
 def _spectra(vec: StateVector, cuts) -> list[SchmidtResult]:
     """One plan for the state's support, every distinct cut ranked in blocks,
-    then one batched SVD per (L, R) shape of cut matrix, chunked to
-    ``_SVD_STACK_BYTES``. LAPACK solves each matrix of a stack on its own, so
-    every spectrum is bit for bit that of the cut's own SVD."""
+    then ``CutPlan.spectra`` once per (L, R) shape of cut matrix; every
+    spectrum is bit for bit that of the cut's own SVD."""
     plan = CutPlan(vec.terms, vec.n)
-    amplitudes = _amplitudes(vec)
+    amplitudes = _amplitudes(vec)[:, None]
     cuts = list(cuts)
     by_shape: dict[tuple[int, int], list[Bipartition]] = {}
     for cut in plan.ranked(list(dict.fromkeys(cuts))):
         _, _, lfirst, rfirst = plan.index(cut)
         by_shape.setdefault((len(lfirst), len(rfirst)), []).append(cut)
     values = {}
-    for (left, right), group in by_shape.items():
-        size = max(1, _SVD_STACK_BYTES // (16 * left * right))
-        for start in range(0, len(group), size):
-            chunk = group[start:start + size]
-            stack = np.zeros((len(chunk), left, right), dtype=complex)
-            for k, cut in enumerate(chunk):
-                rows, cols, _, _ = plan.index(cut)
-                stack[k, rows, cols] = amplitudes
-            values.update(zip(chunk, np.linalg.svd(stack, compute_uv=False)))
+    for group in by_shape.values():
+        values.update(zip(group, plan.spectra(group, amplitudes)[:, 0]))
     return [SchmidtResult(values[cut]) for cut in cuts]
 
 
@@ -353,18 +376,21 @@ def every_cut_entangled(plan: CutPlan, columns: np.ndarray) -> list[bool]:
     """The every-cut predicate on each column of coordinates over ``plan.states``.
 
     Cuts are ranked block by block as the loop reaches them. Per cut, all
-    columns still in play share one batched SVD; a column that factorizes on
-    a cut is not checked on later ones. A column's verdict is
+    columns still in play share one ``CutPlan.spectra`` call; a column that
+    factorizes on a cut is not checked on later ones. A column's verdict is
     that of ``is_packaged_entangled`` on its state: padding a cut matrix with
     the zero rows and columns of the plan's wider support leaves its nonzero
     singular values unchanged up to rounding.
     """
-    verdict = np.full(columns.shape[1], plan.n > 1)
+    verdict = np.zeros(columns.shape[1], dtype=bool)
+    live = np.arange(columns.shape[1] if plan.n > 1 else 0)  # the columns still in play
     for cut in plan.ranked(all_bipartitions(plan.n)):
-        live = np.flatnonzero(verdict)
         if not live.size:
             break
-        verdict[live] = _ranks(plan.singular_values(cut, columns[:, live])) > 1
+        keep = _ranks(plan.spectra([cut], columns)[0]) > 1
+        if not keep.all():  # only a cut that drops columns copies the rest
+            live, columns = live[keep], columns[:, keep]
+    verdict[live] = True
     return verdict.tolist()
 
 

@@ -114,7 +114,7 @@ def _pair_state(a_id: str, b_id: str, amp_ab: complex, amp_ba: complex) -> State
 def _check_pair_amplitudes(alpha: complex, beta: complex) -> None:
     # a product, not ** 2: float ** raises OverflowError where * overflows to inf
     total = abs(alpha) * abs(alpha) + abs(beta) * abs(beta)
-    if abs(total - 1.0) > 1e-9:
+    if not abs(total - 1.0) <= 1e-9:  # NaN fails here too
         raise DomainError(f"|alpha|^2 + |beta|^2 = {total:.12g}, expected 1")
 
 

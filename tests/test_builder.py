@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import superselect.builder as builder_module
+import superselect.entangle as entangle_module
 from superselect.builder import (
     EntangledBasis,
     _admits_entangled,
@@ -14,7 +15,13 @@ from superselect.builder import (
 )
 from superselect.charges import save_registry
 from superselect.cli import main
-from superselect.entangle import CutPlan, every_cut_entangled, is_packaged_entangled
+from superselect.entangle import (
+    CutPlan,
+    all_bipartitions,
+    cut_spectra,
+    every_cut_entangled,
+    is_packaged_entangled,
+)
 from superselect.errors import DomainError
 from superselect.fock import SectorIndex, attained_sectors, sector_basis
 from superselect.scenarios import (
@@ -139,6 +146,25 @@ def test_empty_basis_reports_findings_and_metrics(ep):
     }
 
 
+def test_vector_in_an_empty_sector_is_checked_over_an_empty_plan(ep):
+    # the sector is empty, so the every-cut check runs over 0 x 0 cut matrices
+    basis = EntangledBasis(vectors=[StateVector({}, n=2)], sector=SectorIndex((5,)), n=2)
+    findings, metrics = check_basis(basis, ep)
+    assert findings == [
+        "vector count 1 != sector dimension 0",
+        "norm deviation 1.000e+00 exceeds 1e-09",
+        "vector 0 fails the entanglement predicate but is not flagged",
+    ]
+    assert metrics == {
+        "dimension": 0,
+        "max_gram_deviation": 1.0,
+        "span_frobenius_deviation": None,
+        "entangled_count": 1,
+        "degenerate": False,
+        "separable_indices": [],
+    }
+
+
 def test_verify_basis_flags_unflagged_separable_vector(ep):
     basis = build_packaged_entangled_basis(ep, 2, (0,))
     product = StateVector({sector_basis(ep, 2, (0,))[0]: 1.0})
@@ -217,20 +243,53 @@ def test_diagnostics_shape(ep):
     (dyon_registry(), 3, (1, 1)),
     (lepton_photon_registry(), 3, (0,)),
 ], ids=["ep-n4", "ep-n5", "ep-spin2-n3", "colour-n3", "dyon-n3", "lepton-photon-n3"])
-def test_batched_column_check_matches_per_column_predicate(registry, n, sector):
+def test_batched_column_check_matches_per_column_predicate(monkeypatch, registry, n, sector):
     basis = sector_basis(registry, n, sector)
     d = len(basis)
     rng = np.random.default_rng(d)
     haar = _haar_unitary(d, rng)
     half = np.eye(d, dtype=complex)
     half[:, : d // 2] = half[:, : d // 2] @ _haar_unitary(d // 2, rng)
-    # Haar-mixed columns, product columns (rank 1 on every cut), mixes of a few
-    for columns in (haar, np.eye(d, dtype=complex), half):
-        verdicts = every_cut_entangled(CutPlan(basis, n), columns)
-        assert all(type(v) is bool for v in verdicts)
-        states = [from_coordinates(columns[:, k], basis) for k in range(d)]
-        assert verdicts == [is_packaged_entangled(registry, s).entangled for s in states]
-        assert verdicts == [oracle_packaged_entangled(s) for s in states]
+    # SVD stacks of the default budget, of one matrix, and of three 2 x 2 matrices
+    for stack_bytes in (entangle_module._SVD_STACK_BYTES, 1, 3 * 16 * 4):
+        monkeypatch.setattr(entangle_module, "_SVD_STACK_BYTES", stack_bytes)
+        # Haar-mixed columns, product columns (rank 1 on every cut), mixes of a few
+        for columns in (haar, np.eye(d, dtype=complex), half):
+            verdicts = every_cut_entangled(CutPlan(basis, n), columns)
+            assert all(type(v) is bool for v in verdicts)
+            states = [from_coordinates(columns[:, k], basis) for k in range(d)]
+            assert verdicts == [is_packaged_entangled(registry, s).entangled for s in states]
+            assert verdicts == [oracle_packaged_entangled(s) for s in states]
+
+
+@pytest.mark.parametrize("stack_bytes", [None, 1, 5 * 16 * 8 * 8], ids=["default", "one-matrix", "five-8x8"])
+def test_every_svd_stack_keeps_to_the_byte_budget(monkeypatch, ep, stack_bytes):
+    """No stack handed to the SVD passes the budget, or one matrix where a
+    single matrix is larger, and the results equal those of the default budget."""
+    n, sector = 8, SectorIndex((0,))
+    states = sector_basis(ep, n, sector)
+    columns = _haar_unitary(len(states), np.random.default_rng(8))
+    vec = normalize(from_coordinates(columns[:, 0], states))
+    basis = build_packaged_entangled_basis(ep, n, sector)
+
+    def run_all():
+        spectra = [r.singular_values.tobytes() for r in cut_spectra(vec, all_bipartitions(n))]
+        return spectra, every_cut_entangled(CutPlan(states, n), columns), check_basis(basis, ep)
+
+    want = run_all()
+    budget = entangle_module._SVD_STACK_BYTES if stack_bytes is None else stack_bytes
+    stacks = []  # (bytes of the stack, bytes of one matrix in it)
+    svd = np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        stacks.append((a.nbytes, a.itemsize * a.shape[-2] * a.shape[-1]))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    monkeypatch.setattr(entangle_module, "_SVD_STACK_BYTES", budget)
+    assert run_all() == want
+    assert stacks and all(size <= max(budget, one) for size, one in stacks)
+    assert want[2][0] == []  # the built basis passes its check
 
 
 def _reference_entanglement_findings(basis, registry):

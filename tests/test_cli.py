@@ -90,9 +90,11 @@ def test_every_demo_verifies(capsys, name):
 
 @pytest.mark.parametrize("name", ["hybrid_pair", "meson_superposition"])
 def test_demo_refuses_amplitudes_whose_squares_overflow(capsys, name):
-    code, out, err = run(capsys, "demo", name, "--alpha", "1e308", "--beta", "1e308")
-    assert code == 1 and out == ""
-    assert err == "superselect: error: |alpha|^2 + |beta|^2 = inf, expected 1\n"
+    # NaN amplitudes fail the same check, since no comparison with NaN is true
+    for value, total in (("1e308", "inf"), ("nan", "nan")):
+        code, out, err = run(capsys, "demo", name, "--alpha", value, "--beta", value)
+        assert code == 1 and out == ""
+        assert err == f"superselect: error: |alpha|^2 + |beta|^2 = {total}, expected 1\n"
 
 
 def test_module_entry_point_exits_with_the_command_status(tmp_path):

@@ -367,6 +367,40 @@ def test_block_ranking_keeps_the_recompressing_side_for_keys_past_int64():
         _assert_index_is_per_side(plan, cut)
 
 
+def _reference_side(states, registers):
+    """Each state's rank among the sorted distinct label tuples on ``registers``,
+    and the first state showing each tuple, by Python sorting alone."""
+    tuples = [tuple(state.labels[r] for r in registers) for state in states]
+    distinct = sorted(set(tuples))
+    rank = {t: i for i, t in enumerate(distinct)}
+    first = {}
+    for i, t in enumerate(tuples):
+        first.setdefault(t, i)
+    return [rank[t] for t in tuples], [first[t] for t in distinct]
+
+
+def test_side_ranking_equals_the_sorted_label_tuples():
+    rng = np.random.default_rng(300)
+    cases = []  # (plan, sides)
+    for name in sorted(TEST_REGISTRIES):
+        for n in range(1, 9):
+            plan = CutPlan(_random_support(rng, TEST_REGISTRIES[name], n), n)
+            sides = [sorted(cut.left) for cut in _every_side(n)] + [list(range(n))]
+            cases.append((plan, sides))
+    vec = _two_term_state(70)
+    labels = list(next(iter(vec.terms)).labels)
+    labels[1], labels[2] = labels[2], labels[1]
+    lefts = ({0}, set(range(35)), set(range(0, 70, 2)), set(range(1, 70)), set(range(70)))
+    sides = [sorted(left) for left in lefts] + [sorted(set(range(70)) - left) for left in lefts[:4]]
+    cases.append((CutPlan([*vec.terms, BasisState(tuple(labels))], 70), sides))
+    for plan, sides in cases:
+        for registers in sides:
+            rank, first = plan.side(registers)
+            want_rank, want_first = _reference_side(plan.states, registers)
+            assert rank.shape == (len(plan.states),) and rank.tolist() == want_rank, registers
+            assert first.tolist() == want_first, registers
+
+
 @pytest.mark.parametrize("stack_bytes", [None, 1, 3 * 16 * 4], ids=["default", "one-matrix", "small"])
 @pytest.mark.parametrize("name", sorted(TEST_REGISTRIES))
 def test_cut_spectra_equal_one_svd_per_cut(monkeypatch, name, stack_bytes):
