@@ -56,9 +56,14 @@ class Bipartition:
         return len(self.left) + len(self.right)
 
     def check(self, n: int) -> None:
-        """Raise DomainError unless this cut splits exactly the registers 0..n-1."""
+        """Raise DomainError unless this cut splits the registers 0..n-1 into
+        two nonempty disjoint sides."""
         if self.left | self.right != set(range(n)):
             raise DomainError(f"cut {self} does not match register count n={n}")
+        if not (self.left and self.right):
+            raise DomainError(f"cut {self} has an empty side")
+        if len(self.left) + len(self.right) != n:
+            raise DomainError(f"cut {self} puts registers {sorted(self.left & self.right)} on both sides")
 
     def key(self) -> tuple[int, ...]:
         return tuple(sorted(self.left))
@@ -68,24 +73,39 @@ class Bipartition:
         return f"{fmt(self.left)}|{fmt(self.right)}"
 
 
-def all_bipartitions(n: int) -> list[Bipartition]:
-    """Every cut up to complement symmetry: the side containing register 0.
+def _cut_members(n: int) -> np.ndarray:
+    """Every cut's (cuts x n) left-side membership, in ``all_bipartitions``
+    order: the side holding register 0, by size, then by the combination of
+    its other registers as ``itertools.combinations`` lists them.
 
     More than ``MAX_CUTS`` cuts raises ConfigurationError before any is built.
     """
     if n < 2:
-        return []
+        return np.zeros((0, n), dtype=bool)
     # the first test settles a large n without computing 2 ** (n - 1)
     if n - 1 > MAX_CUTS.bit_length() or 2 ** (n - 1) - 1 > MAX_CUTS:
         raise ConfigurationError(
             f"refusing to list 2**{n - 1}-1 cuts (n={n}): the limit is {MAX_CUTS}"
         )
-    cuts = []
-    rest = list(range(1, n))
-    for r in range(0, n - 1):
-        for extra in itertools.combinations(rest, r):
-            cuts.append(Bipartition.from_left({0, *extra}, n))
-    return cuts
+    # bit r - 1 of a row: register r > 0 joins register 0 (never all of them do)
+    bits = (np.arange(2 ** (n - 1) - 1, dtype=np.int32)[:, None] >> np.arange(n - 1, dtype=np.int32)) & 1
+    # of two combinations of one size, the one holding the smallest register
+    # in just one of them comes first: its bits, read register 1 first, are the larger
+    reverse = bits @ (1 << np.arange(n - 2, -1, -1))
+    member = np.ones((len(bits), n), dtype=bool)
+    member[:, 1:] = bits[np.lexsort((-reverse, bits.sum(axis=1)))]
+    return member
+
+
+def all_bipartitions(n: int) -> list[Bipartition]:
+    """Every cut up to complement symmetry: the side containing register 0.
+
+    More than ``MAX_CUTS`` cuts raises ConfigurationError before any is built.
+    """
+    rows = _cut_members(n).tolist()
+    full = frozenset(range(n))
+    lefts = (frozenset(itertools.compress(range(n), row)) for row in rows)
+    return [Bipartition(left, full - left) for left in lefts]
 
 
 #: Largest mixed-radix key the block ranking pass may build.
@@ -105,13 +125,13 @@ class CutPlan:
     its registers form a mixed-radix key (the first register most
     significant), and the distinct keys are ranked in sorted order. Since the
     codes follow label order, the ranks follow the sorted order of the side's
-    label tuples, which is the row and column order ``amplitude_matrix``
-    promises. Both sides of a block of cuts are ranked in one pass: one
-    integer product builds every side's keys, one stable argsort per side
-    orders them, and a running count of key changes gives the ranks. Where a
-    side's keys could outgrow int64, each side is ranked by ``side``, one
-    lexicographic ``np.unique`` over its code rows, so any register count
-    works.
+    label tuples. A cut reaches the plan as a row of a boolean left-side
+    membership block, and ``rank_blocks`` ranks both sides of a block of
+    cuts in one pass: one integer product builds every side's keys, one
+    stable argsort per side orders them, and a running count of key changes
+    gives the ranks. Where a side's keys could outgrow int64, each side is
+    ranked by ``side``, one lexicographic ``np.unique`` over its code rows,
+    so any register count works. The plan keeps nothing of a cut.
 
     ``stack`` is the one scatter of amplitude columns into cut matrices and
     ``spectra`` the one batched SVD over them, in stacks of at most
@@ -128,39 +148,37 @@ class CutPlan:
             index = {label: i for i, label in enumerate(sorted(set(column)))}
             self.codes[:, r] = [index[label] for label in column]
             self.radices.append(len(index))
-        self._cut_index: dict[Bipartition, tuple] = {}
 
-    def side(self, registers) -> tuple[np.ndarray, np.ndarray]:
+    def side(self, registers) -> tuple[np.ndarray, int]:
         """Each state's rank among the distinct configurations of ``registers``
-        (in sorted label-tuple order), and the first state showing each one."""
-        _, first, inverse = np.unique(
-            self.codes[:, registers], axis=0, return_index=True, return_inverse=True
-        )
-        return inverse.reshape(-1), first
+        (in sorted label-tuple order), and their count."""
+        distinct, inverse = np.unique(self.codes[:, registers], axis=0, return_inverse=True)
+        return inverse.reshape(-1), len(distinct)
 
-    def _rank(self, cuts) -> None:
-        """Fill the index cache for every uncached cut of ``cuts`` in one pass."""
-        cuts = [cut for cut in dict.fromkeys(cuts) if cut not in self._cut_index]
-        if not cuts:
-            return
-        for cut in cuts:
-            cut.check(self.n)
-        left = np.zeros((len(cuts), self.n), dtype=bool)
-        left.ravel()[[i * self.n + r for i, cut in enumerate(cuts) for r in cut.left]] = True
-        member = np.concatenate([left, ~left])  # every cut's left side, then every right side
-        if math.prod(self.radices) > _KEY_LIMIT:  # a side's keys could outgrow int64
-            sides = [self.side(np.flatnonzero(m).tolist()) for m in member]
-        else:
-            sides = self._rank_sides(member)
-        for cut, (rows, lfirst), (cols, rfirst) in zip(cuts, sides, sides[len(cuts):]):
-            self._cut_index[cut] = rows, cols, lfirst, rfirst
+    def rank_blocks(self, member: np.ndarray):
+        """Yield, block by block, each (cuts x n) ``member`` row's (rows, cols,
+        L, R): every state's row and column across the cut whose left side is
+        where the row is True, and the L x R shape of its cut matrix.
 
-    def _rank_sides(self, member: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-        """What ``side`` gives for each (sides x n) ``member`` row, from one pass.
+        A block holds at most ``_RANK_BLOCK_KEYS`` state x side keys and is
+        ranked only when the loop reaches it.
+        """
+        size = max(1, _RANK_BLOCK_KEYS // (2 * max(len(self.states), 1)))
+        for start in range(0, len(member), size):
+            block = member[start:start + size]
+            sides = np.concatenate([block, ~block])  # every cut's left side, then every right side
+            if math.prod(self.radices) > _KEY_LIMIT:  # a side's keys could outgrow int64
+                ranks, counts = zip(*(self.side(np.flatnonzero(m)) for m in sides))
+            else:
+                ranks, counts = self._rank_sides(sides)
+            k = len(block)
+            yield list(zip(ranks[:k], ranks[k:], counts[:k], counts[k:]))
 
-        A state's rank is the number of distinct smaller keys, and the first
-        state of a rank is the first of its keys in stable order, as
-        ``np.unique(return_index=True)`` picks it.
+    def _rank_sides(self, member: np.ndarray) -> tuple[np.ndarray, list[int]]:
+        """The ranks ``side`` gives for each (sides x n) ``member`` row, and
+        each side's count of distinct configurations, from one pass.
+
+        A state's rank is the number of distinct smaller keys.
         """
         # a register's place value: the product of the radices of the side's later registers
         radix = np.where(member, self.radices, 1)
@@ -173,38 +191,21 @@ class CutPlan:
         np.not_equal(ordered[:, 1:], ordered[:, :-1], out=new[:, 1:])
         ranks = np.empty_like(order)
         np.put_along_axis(ranks, order, np.cumsum(new, axis=1) - 1, axis=1)
-        firsts = order[new]  # side by side
-        bounds = [0, *np.cumsum(new.sum(axis=1)).tolist()]
-        return [(rank, firsts[a:b]) for rank, a, b in zip(ranks, bounds, bounds[1:])]
+        return ranks, new.sum(axis=1).tolist()
 
-    def ranked(self, cuts: list[Bipartition]):
-        """Yield ``cuts`` in order, ranking each block of them as it is reached."""
-        size = max(1, _RANK_BLOCK_KEYS // (2 * max(len(self.states), 1)))
-        for start in range(0, len(cuts), size):
-            block = cuts[start:start + size]
-            self._rank(block)
-            yield from block
-
-    def index(self, cut: Bipartition) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Each state's row and column across ``cut``, and each row's and column's first state."""
-        entry = self._cut_index.get(cut)  # one hash of the cut when it is cached
-        if entry is None:
-            self._rank([cut])
-            entry = self._cut_index[cut]
-        return entry
-
-    def stack(self, cuts: list[Bipartition], columns: np.ndarray) -> np.ndarray:
+    @staticmethod
+    def stack(cuts: list[tuple], columns: np.ndarray) -> np.ndarray:
         """The (cuts, k, L, R) stack of the cut matrices of the (states x k)
-        ``columns`` across each of ``cuts``, all of one shape."""
-        _, _, lfirst, rfirst = self.index(cuts[0])
-        stack = np.zeros((len(cuts), columns.shape[1], len(lfirst), len(rfirst)), dtype=complex)
-        for c, cut in enumerate(cuts):
-            rows, cols, _, _ = self.index(cut)
+        ``columns`` across each of ``cuts``, (rows, cols, L, R) of one shape."""
+        _, _, left, right = cuts[0]
+        stack = np.zeros((len(cuts), columns.shape[1], left, right), dtype=complex)
+        for c, (rows, cols, _, _) in enumerate(cuts):
             # the slice between the advanced indices puts their (states,) axis first
             stack[c, :, rows, cols] = columns
         return stack
 
-    def spectra(self, cuts: list[Bipartition], columns: np.ndarray) -> np.ndarray:
+    @staticmethod
+    def spectra(cuts: list[tuple], columns: np.ndarray) -> np.ndarray:
         """The (cuts, k, min(L, R)) singular values, descending, of ``stack``'s matrices.
 
         Each SVD stack takes at most ``_SVD_STACK_BYTES``, or one matrix if a
@@ -213,8 +214,8 @@ class CutPlan:
         stack on its own, so the values do not depend on the blocking.
         """
         k = columns.shape[1]
-        _, _, lfirst, rfirst = self.index(cuts[0])
-        size = 16 * len(lfirst) * len(rfirst)  # bytes of one complex matrix
+        _, _, left, right = cuts[0]
+        size = 16 * left * right  # bytes of one complex matrix
         fit = _SVD_STACK_BYTES // size if size else len(cuts) * k  # matrices per stack
         if fit >= len(cuts) * k:
             blocks = [(cuts, columns)]
@@ -225,13 +226,13 @@ class CutPlan:
                 for a in range(0, len(cuts), step)
                 for b in range(0, k, width)
             ]
-        parts = [np.linalg.svd(self.stack(*block), compute_uv=False) for block in blocks]
+        parts = [np.linalg.svd(CutPlan.stack(*block), compute_uv=False) for block in blocks]
         if len(parts) == 1:
             return parts[0]
         if fit >= k:  # whole cuts per stack
             return np.concatenate(parts)
         # one cut per stack: its column blocks in order, then the next cut's
-        return np.concatenate(parts, axis=1).reshape(len(cuts), k, min(len(lfirst), len(rfirst)))
+        return np.concatenate(parts, axis=1).reshape(len(cuts), k, min(left, right))
 
 
 def _ranks(values: np.ndarray) -> np.ndarray:
@@ -241,23 +242,6 @@ def _ranks(values: np.ndarray) -> np.ndarray:
 
 def _amplitudes(vec: StateVector) -> np.ndarray:
     return np.fromiter(vec.terms.values(), dtype=complex, count=len(vec))
-
-
-def amplitude_matrix(vec: StateVector, cut: Bipartition):
-    """Reshape the term map into a matrix indexed by (left labels, right labels).
-
-    Rows and columns run over the label tuples actually occurring in the
-    state's support, in sorted order; absent combinations are zero. Embedding
-    into any larger label space adds only zero rows/columns, so the nonzero
-    singular values are unaffected by this choice.
-    """
-    plan = CutPlan(vec.terms, vec.n)
-    mat = plan.stack([cut], _amplitudes(vec)[:, None])[0, 0]
-    _, _, lfirst, rfirst = plan.index(cut)
-    lidx, ridx = sorted(cut.left), sorted(cut.right)
-    lkeys = [tuple(plan.states[i].labels[r] for r in lidx) for i in lfirst]
-    rkeys = [tuple(plan.states[i].labels[r] for r in ridx) for i in rfirst]
-    return mat, lkeys, rkeys
 
 
 @dataclass
@@ -281,20 +265,29 @@ class SchmidtResult:
 
 
 def _spectra(vec: StateVector, cuts) -> list[SchmidtResult]:
-    """One plan for the state's support, every distinct cut ranked in blocks,
-    then ``CutPlan.spectra`` once per (L, R) shape of cut matrix; every
-    spectrum is bit for bit that of the cut's own SVD."""
+    """One plan for the state's support, each distinct cut checked once and
+    ranked in blocks, then ``CutPlan.spectra`` once per (L, R) shape of cut
+    matrix in a block; every spectrum is bit for bit that of the cut's own SVD."""
     plan = CutPlan(vec.terms, vec.n)
     amplitudes = _amplitudes(vec)[:, None]
     cuts = list(cuts)
-    by_shape: dict[tuple[int, int], list[Bipartition]] = {}
-    for cut in plan.ranked(list(dict.fromkeys(cuts))):
-        _, _, lfirst, rfirst = plan.index(cut)
-        by_shape.setdefault((len(lfirst), len(rfirst)), []).append(cut)
-    values = {}
-    for group in by_shape.values():
-        values.update(zip(group, plan.spectra(group, amplitudes)[:, 0]))
-    return [SchmidtResult(values[cut]) for cut in cuts]
+    distinct = list(dict.fromkeys(cuts))
+    for cut in distinct:
+        cut.check(vec.n)
+    member = np.zeros((len(distinct), vec.n), dtype=bool)
+    member.ravel()[[i * vec.n + r for i, cut in enumerate(distinct) for r in cut.left]] = True
+    found = []  # each distinct cut's singular values, in order
+    for block in plan.rank_blocks(member):
+        by_shape: dict[tuple[int, int], list[int]] = {}
+        for c, (_, _, left, right) in enumerate(block):
+            by_shape.setdefault((left, right), []).append(c)
+        values = [None] * len(block)
+        for group in by_shape.values():
+            for c, value in zip(group, plan.spectra([block[c] for c in group], amplitudes)[:, 0]):
+                values[c] = value
+        found += values
+    spectrum = dict(zip(distinct, found))
+    return [SchmidtResult(spectrum[cut]) for cut in cuts]
 
 
 def cut_spectra(vec: StateVector, cuts) -> list[SchmidtResult]:
@@ -377,19 +370,21 @@ def every_cut_entangled(plan: CutPlan, columns: np.ndarray) -> list[bool]:
 
     Cuts are ranked block by block as the loop reaches them. Per cut, all
     columns still in play share one ``CutPlan.spectra`` call; a column that
-    factorizes on a cut is not checked on later ones. A column's verdict is
-    that of ``is_packaged_entangled`` on its state: padding a cut matrix with
-    the zero rows and columns of the plan's wider support leaves its nonzero
+    factorizes on a cut is not checked on later ones, and once none is left
+    no further block is ranked. A column's verdict is that of
+    ``is_packaged_entangled`` on its state: padding a cut matrix with the
+    zero rows and columns of the plan's wider support leaves its nonzero
     singular values unchanged up to rounding.
     """
     verdict = np.zeros(columns.shape[1], dtype=bool)
     live = np.arange(columns.shape[1] if plan.n > 1 else 0)  # the columns still in play
-    for cut in plan.ranked(all_bipartitions(plan.n)):
-        if not live.size:
-            break
+    blocks = plan.rank_blocks(_cut_members(plan.n)) if live.size else ()
+    for cut in itertools.chain.from_iterable(blocks):
         keep = _ranks(plan.spectra([cut], columns)[0]) > 1
         if not keep.all():  # only a cut that drops columns copies the rest
             live, columns = live[keep], columns[:, keep]
+            if not live.size:
+                break
     verdict[live] = True
     return verdict.tolist()
 

@@ -207,9 +207,6 @@ class SectorDecomposition:
     def weights(self) -> dict[SectorIndex, float]:
         return {q: w for q, (_, w) in sorted(self.parts.items())}
 
-    def total_weight(self) -> float:
-        return sum(w for _, w in self.parts.values())
-
 
 def sector_decompose(registry: SpeciesRegistry, vec: StateVector) -> SectorDecomposition:
     """Split a state into its charge-sector components; reassembly is exact."""

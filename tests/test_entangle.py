@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,9 +14,9 @@ from superselect.entangle import (
     CutPlan,
     DensityMatrix,
     all_bipartitions,
-    amplitude_matrix,
     cut_spectra,
     entanglement_entropy,
+    every_cut_entangled,
     internal_charge_marginal,
     is_entangled_somewhere,
     is_packaged_entangled,
@@ -23,14 +24,14 @@ from superselect.entangle import (
     schmidt,
 )
 from superselect.errors import ConfigurationError, DomainError, SuperselectionError
-from superselect.fock import BasisState, RegisterLabel, register_alphabet
+from superselect.fock import BasisState, RegisterLabel, register_alphabet, sector_basis
 from superselect.scenarios import (
     build_scenario,
     color_toy_registry,
     electron_positron_registry,
     neutral_kaon_registry,
 )
-from superselect.states import StateVector
+from superselect.states import SectorIndex, StateVector
 
 from helpers import (
     dyon_registry,
@@ -40,7 +41,6 @@ from helpers import (
     oracle_packaged_entangled,
     random_sector_superposition,
     random_single_sector_state,
-    reference_amplitude_matrix,
     reference_cut_spectra,
     reference_density_admission,
     reference_internal_marginal,
@@ -80,6 +80,13 @@ def test_all_bipartitions_count():
     assert len(all_bipartitions(3)) == 3
     assert len(all_bipartitions(4)) == 7
     assert all(0 in cut.left for cut in all_bipartitions(4))
+    # the side holding register 0 by size, then its other registers in combination order
+    for n in range(2, 13):
+        want = [[0, *extra] for r in range(n - 1) for extra in itertools.combinations(range(1, n), r)]
+        cuts = all_bipartitions(n)
+        assert [sorted(cut.left) for cut in cuts] == want
+        assert all(cut.right == frozenset(range(n)) - cut.left for cut in cuts)
+    assert all_bipartitions(1) == []
 
 
 def test_oversized_cut_list_is_refused_before_it_allocates(monkeypatch):
@@ -90,10 +97,12 @@ def test_oversized_cut_list_is_refused_before_it_allocates(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("cuts built past the size limit")
 
-    monkeypatch.setattr(Bipartition, "from_left", refuse)
+    monkeypatch.setattr(entangle_module, "Bipartition", refuse)
     for n in (5, 10**9):  # the check must not compute 2**(n-1) in full
         with pytest.raises(ConfigurationError, match=rf"cuts \(n={n}\): the limit is 7$"):
             all_bipartitions(n)
+    with pytest.raises(ConfigurationError, match=r"cuts \(n=5\): the limit is 7$"):
+        every_cut_entangled(CutPlan([], 5), np.zeros((0, 1), dtype=complex))
     monkeypatch.setattr(entangle_module, "MAX_CUTS", 2**20)
     with pytest.raises(ConfigurationError, match=r"2\*\*21-1 cuts \(n=22\): the limit is 1048576$"):
         all_bipartitions(22)
@@ -196,10 +205,11 @@ def test_entropy_bounds_on_random_states():
     for _ in range(60):
         n = int(rng.integers(2, 4))
         vec = random_single_sector_state(rng, reg, n)
-        for cut in all_bipartitions(n):
-            mat, lkeys, rkeys = amplitude_matrix(vec, cut)
+        cuts = all_bipartitions(n)
+        for cut, result, want in zip(cuts, cut_spectra(vec, cuts), reference_cut_spectra(vec, cuts)):
+            assert result.singular_values.tobytes() == want.tobytes(), str(cut)
             ent = entanglement_entropy(vec, cut)
-            assert -1e-12 <= ent <= math.log(min(len(lkeys), len(rkeys))) + 1e-9
+            assert -1e-12 <= ent <= math.log(len(want)) + 1e-9  # min(L, R) values
 
 
 def test_predicates_match_oracle_on_random_suite():
@@ -276,15 +286,9 @@ def test_cut_kernel_matches_loop_reference(name):
         n = int(rng.integers(2, 5))
         vec = random_single_sector_state(rng, reg, n)
         cuts = _every_side(n)
-        spectra = cut_spectra(vec, cuts)
-        for cut, result in zip(cuts, spectra):
-            mat, lkeys, rkeys = amplitude_matrix(vec, cut)
-            ref, ref_lkeys, ref_rkeys = reference_amplitude_matrix(vec, cut)
-            assert mat.tobytes() == ref.tobytes() and mat.shape == ref.shape, str(cut)
-            assert (lkeys, rkeys) == (ref_lkeys, ref_rkeys), str(cut)
-            ref_values = np.linalg.svd(ref, compute_uv=False)
-            assert schmidt(vec, cut).singular_values.tobytes() == ref_values.tobytes(), str(cut)
-            assert result.singular_values.tobytes() == ref_values.tobytes(), str(cut)
+        for cut, result, want in zip(cuts, cut_spectra(vec, cuts), reference_cut_spectra(vec, cuts)):
+            assert schmidt(vec, cut).singular_values.tobytes() == want.tobytes(), str(cut)
+            assert result.singular_values.tobytes() == want.tobytes(), str(cut)
 
 
 def _two_term_state(n):
@@ -313,10 +317,9 @@ def test_schmidt_on_seventy_registers_does_not_overflow(monkeypatch):
     labels[1], labels[2] = labels[2], labels[1]
     wider = StateVector({**vec.terms, BasisState(tuple(labels)): 0.5})
     wider = StateVector({b: a / wider.norm() for b, a in wider.terms.items()})
-    for cut in (Bipartition.from_left({0}, 70), Bipartition.from_left(set(range(1, 70)), 70)):
-        mat, lkeys, rkeys = amplitude_matrix(wider, cut)
-        ref, ref_lkeys, ref_rkeys = reference_amplitude_matrix(wider, cut)
-        assert mat.tobytes() == ref.tobytes() and (lkeys, rkeys) == (ref_lkeys, ref_rkeys)
+    cuts = [Bipartition.from_left({0}, 70), Bipartition.from_left(set(range(1, 70)), 70)]
+    for cut, result, want in zip(cuts, cut_spectra(wider, cuts), reference_cut_spectra(wider, cuts)):
+        assert result.singular_values.tobytes() == want.tobytes(), str(cut)
 
 
 def _random_support(rng, registry, n):
@@ -328,12 +331,21 @@ def _random_support(rng, registry, n):
     return list(dict.fromkeys(BasisState(tuple(alphabet[i] for i in row)) for row in picks))
 
 
-def _assert_index_is_per_side(plan, cut):
-    rows, cols, lfirst, rfirst = plan.index(cut)
-    want_rows, want_lfirst = plan.side(sorted(cut.left))
-    want_cols, want_rfirst = plan.side(sorted(cut.right))
-    for got, want in ((rows, want_rows), (cols, want_cols), (lfirst, want_lfirst), (rfirst, want_rfirst)):
-        assert np.array_equal(got, want), str(cut)
+def _assert_blocks_rank_per_side(plan, cuts):
+    """``rank_blocks`` on the membership of ``cuts`` gives, in order, each
+    cut's ``side`` ranks of both its sides and their counts, in blocks of at
+    most ``_RANK_BLOCK_KEYS`` state x side keys."""
+    member = np.array([[r in cut.left for r in range(plan.n)] for cut in cuts])
+    blocks = list(plan.rank_blocks(member))
+    most = max(1, entangle_module._RANK_BLOCK_KEYS // (2 * len(plan.states)))
+    assert all(len(block) <= most for block in blocks)
+    ranked = [index for block in blocks for index in block]
+    assert len(ranked) == len(cuts)
+    for cut, (rows, cols, left, right) in zip(cuts, ranked):
+        want_rows, want_left = plan.side(sorted(cut.left))
+        want_cols, want_right = plan.side(sorted(cut.right))
+        assert np.array_equal(rows, want_rows) and np.array_equal(cols, want_cols), str(cut)
+        assert (left, right) == (want_left, want_right), str(cut)
 
 
 @pytest.mark.parametrize("budget", [None, 1, 3, 200], ids=["default", "keys1", "keys3", "keys200"])
@@ -348,13 +360,14 @@ def test_block_ranked_index_equals_per_side_ranking(monkeypatch, name, budget):
     for n in range(2, 9):
         plan = CutPlan(_random_support(rng, reg, n), n)
         cuts = _every_side(n)  # both orientations of every cut
-        requested = cuts + cuts[::3]  # and some twice
-        assert list(plan.ranked(requested)) == requested
-        for cut in requested:
-            _assert_index_is_per_side(plan, cut)
+        _assert_blocks_rank_per_side(plan, cuts + cuts[::3])  # and some twice
 
 
-def test_block_ranking_keeps_the_recompressing_side_for_keys_past_int64():
+def test_block_ranking_keeps_the_recompressing_side_for_keys_past_int64(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("keys that could pass int64 were built")
+
+    monkeypatch.setattr(CutPlan, "_rank_sides", refuse)
     vec = _two_term_state(70)
     labels = list(next(iter(vec.terms)).labels)
     labels[1], labels[2] = labels[2], labels[1]
@@ -362,21 +375,47 @@ def test_block_ranking_keeps_the_recompressing_side_for_keys_past_int64():
     # 2^69 right-side keys overflow; 2^35 and the even registers' 2^35 do not
     lefts = ({0}, set(range(35)), set(range(0, 70, 2)), set(range(1, 70)))
     cuts = [Bipartition.from_left(left, 70) for left in lefts]
-    assert list(plan.ranked(cuts + cuts[:1])) == cuts + cuts[:1]
-    for cut in cuts:
-        _assert_index_is_per_side(plan, cut)
+    _assert_blocks_rank_per_side(plan, cuts + cuts[:1])
+
+
+def test_every_cut_check_keeps_no_per_cut_state(monkeypatch):
+    monkeypatch.setattr(entangle_module, "_RANK_BLOCK_KEYS", 2**12)
+    basis = sector_basis(electron_positron_registry(1), 10, SectorIndex((0,)))
+    column = np.full((len(basis), 1), 1 / math.sqrt(len(basis)), dtype=complex)
+    plan = CutPlan(basis, 10)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        verdicts = every_cut_entangled(plan, column)  # 511 cuts in blocks of 8
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert verdicts == [True]
+    assert retained < 2**19
+
+
+def test_every_cut_check_ranks_no_block_after_the_last_column_fails(monkeypatch):
+    # one cut per block; every product column factorizes on the first cut
+    monkeypatch.setattr(entangle_module, "_RANK_BLOCK_KEYS", 1)
+    rank_sides = CutPlan._rank_sides
+    passes = []
+
+    def spy(plan, member):
+        passes.append(len(member))
+        return rank_sides(plan, member)
+
+    monkeypatch.setattr(CutPlan, "_rank_sides", spy)
+    basis = sector_basis(electron_positron_registry(1), 4, SectorIndex((0,)))
+    assert every_cut_entangled(CutPlan(basis, 4), np.eye(len(basis), dtype=complex)) == [False] * 6
+    assert passes == [2]  # both sides of the first cut, and no later block
 
 
 def _reference_side(states, registers):
     """Each state's rank among the sorted distinct label tuples on ``registers``,
-    and the first state showing each tuple, by Python sorting alone."""
+    and their count, by Python sorting alone."""
     tuples = [tuple(state.labels[r] for r in registers) for state in states]
-    distinct = sorted(set(tuples))
-    rank = {t: i for i, t in enumerate(distinct)}
-    first = {}
-    for i, t in enumerate(tuples):
-        first.setdefault(t, i)
-    return [rank[t] for t in tuples], [first[t] for t in distinct]
+    rank = {t: i for i, t in enumerate(sorted(set(tuples)))}
+    return [rank[t] for t in tuples], len(rank)
 
 
 def test_side_ranking_equals_the_sorted_label_tuples():
@@ -395,10 +434,10 @@ def test_side_ranking_equals_the_sorted_label_tuples():
     cases.append((CutPlan([*vec.terms, BasisState(tuple(labels))], 70), sides))
     for plan, sides in cases:
         for registers in sides:
-            rank, first = plan.side(registers)
-            want_rank, want_first = _reference_side(plan.states, registers)
+            rank, count = plan.side(registers)
+            want_rank, want_count = _reference_side(plan.states, registers)
             assert rank.shape == (len(plan.states),) and rank.tolist() == want_rank, registers
-            assert first.tolist() == want_first, registers
+            assert count == want_count, registers
 
 
 @pytest.mark.parametrize("stack_bytes", [None, 1, 3 * 16 * 4], ids=["default", "one-matrix", "small"])
@@ -521,17 +560,21 @@ def test_ppt_requires_a_cut():
 def test_every_cut_check_refuses_a_cut_of_another_register_count(bell_plus):
     reg = electron_positron_registry(1)
     rho = internal_charge_marginal(reg, bell_plus, CUT01)
-    wide = Bipartition.from_left({0}, 3)
-    message = "cut {0}|{1,2} does not match register count n=2"
-    for call in (
-        lambda: ppt_check(rho, wide),
-        lambda: internal_charge_marginal(reg, bell_plus, wide),
-        lambda: amplitude_matrix(bell_plus, wide),
-        lambda: cut_spectra(bell_plus, [CUT01, wide]),
+    for cut, message in (
+        (Bipartition.from_left({0}, 3), "cut {0}|{1,2} does not match register count n=2"),
+        # built directly, past ``from_left``'s checks
+        (Bipartition(frozenset(), frozenset({0, 1})), "cut {}|{0,1} has an empty side"),
+        (Bipartition(frozenset({0}), frozenset({0, 1})), "cut {0}|{0,1} puts registers [0] on both sides"),
     ):
-        with pytest.raises(DomainError) as excinfo:
-            call()
-        assert str(excinfo.value) == message
+        for call in (
+            lambda: ppt_check(rho, cut),
+            lambda: internal_charge_marginal(reg, bell_plus, cut),
+            lambda: schmidt(bell_plus, cut),
+            lambda: cut_spectra(bell_plus, [CUT01, cut]),
+        ):
+            with pytest.raises(DomainError) as excinfo:
+                call()
+            assert str(excinfo.value) == message
 
 
 def test_marginal_of_an_admitted_state_off_unit_norm():
