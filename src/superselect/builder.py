@@ -17,13 +17,15 @@ The build has four steps:
    unitary (F. Mezzadri, "How to generate random matrices from the classical
    compact groups", Notices AMS 54 (2007) 592). Mixing inside an orthonormal
    set keeps orthonormality and span exactly, so only the mixed columns are
-   rechecked; a failed mix is redrawn up to ``MAX_MIX_ATTEMPTS`` times.
+   rechecked; a failed mix is redrawn up to ``MAX_MIX_ATTEMPTS`` times, and
+   if every draw fails the build raises SimulatorError naming the columns.
 4. Record one diagnostics entry per vector, listing every mix it took part in.
 
 A whole sector is closed under register permutation, so it fails the
 structural test exactly when it has dimension 1 or single-register states.
 It then holds no entangled vector and comes back flagged degenerate with its
-seed vectors, instead of erroring.
+seed vectors, instead of erroring. ``degenerate`` means exactly this: no
+entangled vector can exist, never that the mixing gave up.
 """
 
 from __future__ import annotations
@@ -35,13 +37,13 @@ import numpy as np
 
 from .charges import SpeciesRegistry
 from .entangle import CutPlan, every_cut_entangled
-from .errors import DomainError
+from .errors import DomainError, SimulatorError
 from .fock import BasisState, SectorIndex, sector_basis
 from .states import StateVector, coordinate_matrix, from_coordinates
 
 ORTHO_TOL = 1e-9
 SPAN_TOL = 1e-8
-#: Haar mixes drawn for the failing group before the basis is flagged degenerate.
+#: Haar mixes drawn for the failing group before the build raises SimulatorError.
 MAX_MIX_ATTEMPTS = 64
 
 
@@ -89,9 +91,10 @@ def build_packaged_entangled_basis(
 ) -> EntangledBasis:
     """Build an orthonormal basis of the (n, sector) subspace, every vector entangled.
 
-    ``seed`` seeds the Haar mixes. Raises DomainError on an empty sector.
-    Returns a degenerate-flagged basis (with the separable vectors identified)
-    when the sector admits no entangled vector or every mix attempt fails.
+    ``seed`` seeds the Haar mixes. Raises DomainError on an empty sector, and
+    SimulatorError when all ``MAX_MIX_ATTEMPTS`` mixes fail. Returns a
+    degenerate-flagged basis (with the separable vectors identified) exactly
+    when the sector admits no entangled vector.
     """
     product_basis = sector_basis(registry, n, sector)
     if not product_basis:
@@ -137,6 +140,11 @@ def build_packaged_entangled_basis(
                 for k in group:
                     status[k] = True
                 break
+        else:
+            raise SimulatorError(
+                f"sector {sector} at n={n}: no Haar mix of columns {group} is entangled "
+                f"on every cut in {MAX_MIX_ATTEMPTS} draws"
+            )
 
     separable = [k for k in range(d) if not status[k]]
     diagnostics = [

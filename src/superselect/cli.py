@@ -24,7 +24,7 @@ from .entangle import (
     ppt_check,
     predicate_report,
 )
-from .errors import SimulatorError, SuperselectionError
+from .errors import DomainError, SimulatorError, SuperselectionError
 from .fock import SectorIndex
 from .measure import measure_spin, sample_measurement, spin_z_observable
 from .scenarios import SCENARIO_NAMES, build_scenario
@@ -82,7 +82,10 @@ def _parse_cut(text: str, n: int) -> Bipartition:
         left = {int(part) for part in text.split(",")}
     except ValueError:
         raise SimulatorError(f"--cut expects comma-separated register indices, got {text!r}") from None
-    return Bipartition.from_left(left, n)
+    try:
+        return Bipartition.from_left(left, n)
+    except DomainError as exc:
+        raise DomainError(f"--cut {text!r}: {exc}") from None
 
 
 def _seed(text: str) -> int:

@@ -97,15 +97,20 @@ def _cut_members(n: int) -> np.ndarray:
     return member
 
 
+def _lefts(member: np.ndarray) -> list[tuple[int, ...]]:
+    """Each membership row's left side as an ascending register tuple, its cut's ``key()``."""
+    registers = range(member.shape[1])
+    return [tuple(itertools.compress(registers, row)) for row in member.tolist()]
+
+
 def all_bipartitions(n: int) -> list[Bipartition]:
     """Every cut up to complement symmetry: the side containing register 0.
 
     More than ``MAX_CUTS`` cuts raises ConfigurationError before any is built.
     """
-    rows = _cut_members(n).tolist()
+    lefts = _lefts(_cut_members(n))
     full = frozenset(range(n))
-    lefts = (frozenset(itertools.compress(range(n), row)) for row in rows)
-    return [Bipartition(left, full - left) for left in lefts]
+    return [Bipartition(left, full - left) for left in map(frozenset, lefts)]
 
 
 #: Largest mixed-radix key the block ranking pass may build.
@@ -264,19 +269,13 @@ class SchmidtResult:
         return float(max(0.0, -np.sum(lam * np.log(lam))))
 
 
-def _spectra(vec: StateVector, cuts) -> list[SchmidtResult]:
-    """One plan for the state's support, each distinct cut checked once and
-    ranked in blocks, then ``CutPlan.spectra`` once per (L, R) shape of cut
-    matrix in a block; every spectrum is bit for bit that of the cut's own SVD."""
+def _spectra(vec: StateVector, member: np.ndarray) -> list[np.ndarray]:
+    """Each (cuts x n) ``member`` row's singular values, in row order: one plan
+    for the state's support ranks the rows in blocks, then ``CutPlan.spectra``
+    runs once per (L, R) shape in a block, bit for bit each cut's own SVD."""
     plan = CutPlan(vec.terms, vec.n)
     amplitudes = _amplitudes(vec)[:, None]
-    cuts = list(cuts)
-    distinct = list(dict.fromkeys(cuts))
-    for cut in distinct:
-        cut.check(vec.n)
-    member = np.zeros((len(distinct), vec.n), dtype=bool)
-    member.ravel()[[i * vec.n + r for i, cut in enumerate(distinct) for r in cut.left]] = True
-    found = []  # each distinct cut's singular values, in order
+    found = []
     for block in plan.rank_blocks(member):
         by_shape: dict[tuple[int, int], list[int]] = {}
         for c, (_, _, left, right) in enumerate(block):
@@ -286,14 +285,21 @@ def _spectra(vec: StateVector, cuts) -> list[SchmidtResult]:
             for c, value in zip(group, plan.spectra([block[c] for c in group], amplitudes)[:, 0]):
                 values[c] = value
         found += values
-    spectrum = dict(zip(distinct, found))
-    return [SchmidtResult(spectrum[cut]) for cut in cuts]
+    return found
 
 
 def cut_spectra(vec: StateVector, cuts) -> list[SchmidtResult]:
-    """Schmidt spectrum across each of ``cuts``, in order, from one index plan."""
+    """Schmidt spectrum across each of ``cuts``, in order, from one index plan;
+    each distinct cut is checked against the register count once."""
     require_normalized(vec)
-    return _spectra(vec, cuts)
+    cuts = list(cuts)
+    distinct = list(dict.fromkeys(cuts))
+    for cut in distinct:
+        cut.check(vec.n)
+    member = np.zeros((len(distinct), vec.n), dtype=bool)
+    member.ravel()[[i * vec.n + r for i, cut in enumerate(distinct) for r in cut.left]] = True
+    spectrum = dict(zip(distinct, _spectra(vec, member)))
+    return [SchmidtResult(spectrum[cut]) for cut in cuts]
 
 
 def schmidt(vec: StateVector, cut: Bipartition) -> SchmidtResult:
@@ -346,8 +352,8 @@ def predicate_report(predicate: str, n: int, ranks: dict[tuple[int, ...], int]) 
 def _rank_report(registry: SpeciesRegistry, vec: StateVector, predicate: str) -> EntanglementReport:
     require_normalized(vec)
     require_single_sector(registry, vec)
-    cuts = all_bipartitions(vec.n)
-    ranks = {cut.key(): result.rank for cut, result in zip(cuts, _spectra(vec, cuts))}
+    member = _cut_members(vec.n)
+    ranks = {left: int(_ranks(v)) for left, v in zip(_lefts(member), _spectra(vec, member))}
     return predicate_report(predicate, vec.n, ranks)
 
 

@@ -56,11 +56,6 @@ class SectorIndex:
         return "(" + ",".join(str(c) for c in self.gauged_charges) + ")"
 
 
-def sector_of(registry: SpeciesRegistry, total: ChargeVector) -> SectorIndex:
-    """Project a total charge vector onto the gauged components."""
-    return SectorIndex(tuple(total.components[i] for i in registry.gauged_indices()))
-
-
 def validate_label(registry: SpeciesRegistry, label: RegisterLabel) -> Species:
     """The label's species, after checking that its spin index is in range."""
     species = registry.get(label.species_id)
@@ -115,18 +110,14 @@ def total_charge(registry: SpeciesRegistry, state: BasisState) -> ChargeVector:
     return ChargeVector(tuple(total))
 
 
-def state_sector(registry: SpeciesRegistry, state: BasisState) -> SectorIndex:
-    return sector_of(registry, total_charge(registry, state))
-
-
 class SpeciesTable:
     """One call's species lookup: species id -> (spin multiplicity, gauged charges).
 
     A row is filled on first sight of its species, and the table is made by
     the call that uses it and dropped with it, so it never outlives a change
-    to the registry. ``sector_charges`` equals ``state_sector(...).gauged_charges``
-    and raises what ``total_charge`` raises for the first bad label: unknown
-    species, then spin range, then charge arity.
+    to the registry. ``sector_charges`` is the gauged part of ``total_charge``
+    and raises what it raises for the first bad label: unknown species, then
+    spin range, then charge arity.
     """
 
     __slots__ = ("_registry", "_gauged", "_zero", "_rows")
@@ -161,6 +152,11 @@ class SpeciesTable:
                 raise _arity_error(self._registry.arity, charges)
             picked.append(gauged)
         return tuple(map(sum, zip(*picked)))
+
+
+def state_sector(registry: SpeciesRegistry, state: BasisState) -> SectorIndex:
+    """The gauged net charge of one basis state."""
+    return SectorIndex(SpeciesTable(registry).sector_charges(state))
 
 
 def _coerce_sector(registry: SpeciesRegistry, sector) -> SectorIndex:

@@ -234,19 +234,14 @@ class SuperselectionReport:
 
 def validate_superselection(registry: SpeciesRegistry, vec: StateVector):
     """Return the unique SectorIndex of a one-sector state, else a SuperselectionReport
-    whose weights sum each sector's |amp|^2 in term order, bitwise as sector_decompose."""
+    carrying ``sector_decompose``'s weights."""
     if vec.is_zero():
         raise DomainError("superselection is undefined for the zero state")
     table = SpeciesTable(registry)
     sectors = [table.sector_charges(state) for state in vec.terms]
     if sectors.count(sectors[0]) == len(sectors):
         return SectorIndex(sectors[0])
-    amplitudes: dict[tuple[int, ...], list[complex]] = {}
-    for q, amp in zip(sectors, vec.terms.values()):
-        amplitudes.setdefault(q, []).append(amp)
-    return SuperselectionReport(
-        {SectorIndex(q): _squared_norm(a) for q, a in sorted(amplitudes.items())}
-    )
+    return SuperselectionReport(sector_decompose(registry, vec).weights())
 
 
 def require_single_sector(registry: SpeciesRegistry, vec: StateVector) -> SectorIndex:
@@ -377,11 +372,20 @@ def _checked_spin(spin) -> int:
     return spin
 
 
+def _checked_species(species) -> str:
+    """A label's species id as a state file holds it: a ``str``."""
+    if not isinstance(species, str):
+        raise ConfigurationError(f"state field 'species' must be a string, got {species!r}")
+    return species
+
+
 def state_from_dict(data: dict, registry: SpeciesRegistry | None = None) -> StateVector:
+    if not isinstance(data, dict):
+        raise ConfigurationError(f"state document must be an object, got {type(data).__name__}")
     try:
         n = data["n"]
         raw_terms = data["terms"]
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
         raise ConfigurationError(f"state document missing field: {exc}") from None
     _checked_n(n)
     if not isinstance(raw_terms, list):
@@ -395,7 +399,7 @@ def state_from_dict(data: dict, registry: SpeciesRegistry | None = None) -> Stat
             if not isinstance(raw, dict) or "species" not in raw:
                 raise ConfigurationError(f"state label needs a 'species' field, got {raw!r}")
             spin = _checked_spin(raw.get("spin", 0))
-            labels.append(RegisterLabel(str(raw["species"]), spin))
+            labels.append(RegisterLabel(_checked_species(raw["species"]), spin))
         state = BasisState(tuple(labels))
         if state.n != n:
             raise ConfigurationError(
@@ -426,13 +430,9 @@ def _state_text(vec: StateVector) -> str:
     for state, amp in vec.items_sorted():
         labels = []
         for label in state.labels:
-            if not isinstance(label.species_id, str):
-                raise ConfigurationError(
-                    f"state field 'species' must be a string, got {label.species_id!r}"
-                )
             labels.append(
                 '\n        {\n          "species": '
-                + encode_basestring_ascii(label.species_id)
+                + encode_basestring_ascii(_checked_species(label.species_id))
                 + ',\n          "spin": '
                 + int.__repr__(_checked_spin(label.spin))
                 + "\n        }"

@@ -22,7 +22,7 @@ from superselect.entangle import (
     every_cut_entangled,
     is_packaged_entangled,
 )
-from superselect.errors import DomainError
+from superselect.errors import DomainError, SimulatorError
 from superselect.fock import SectorIndex, attained_sectors, sector_basis
 from superselect.scenarios import (
     build_scenario,
@@ -215,6 +215,24 @@ def test_degenerate_iff_no_entangled_vector_can_exist(registry, registers):
             assert verify_basis(basis, registry) == [], label
             # one Haar mix of a structurally admissible group suffices
             assert all(len(entry["repairs"]) <= 1 for entry in basis.diagnostics), label
+
+
+def test_a_build_whose_every_mix_fails_raises_instead_of_flagging_degenerate(
+    monkeypatch, capsys, tmp_path, ep
+):
+    # e± n=5 sector 1 admits entangled vectors, and its seeds all need a mix
+    monkeypatch.setattr(builder_module, "MAX_MIX_ATTEMPTS", 0)
+    message = ("sector (1) at n=5: no Haar mix of columns [0, 1, 2, 3, 4, 5, 6, 7, 8, 9] "
+               "is entangled on every cut in 0 draws")
+    with pytest.raises(SimulatorError) as excinfo:
+        build_packaged_entangled_basis(ep, 5, (1,))
+    assert str(excinfo.value) == message
+    save_registry(ep, str(tmp_path / "ep.json"))
+    code = main(["basis", "--registry", str(tmp_path / "ep.json"), "--registers", "5",
+                 "--charge", "1", "--out", str(tmp_path / "b")])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (1, "", f"superselect: error: {message}\n")
+    assert not (tmp_path / "b").exists()
 
 
 def test_seventy_dimensional_sector_verifies(ep):

@@ -216,6 +216,19 @@ def test_entangle_reports_cuts(capsys, workdir):
     assert "{0}|{1}" in out and "rank: 2" in out
 
 
+@pytest.mark.parametrize("registry, state, cuts, named", [
+    ("ep.json", "bell_plus.json", ("--cut", "0,1"), "0,1"),
+    ("kaon.json", "meson.json", ("--cut", "0"), "0"),
+    ("ep.json", "bell_plus.json", ("--cut", "0", "--cut", "0,1"), "0,1"),
+], ids=["every-register", "one-register", "second-flag"])
+def test_trivial_cut_error_names_the_flag(capsys, workdir, registry, state, cuts, named):
+    code, out, err = run(capsys, "entangle", "--registry", str(workdir / registry),
+                         "--state", str(workdir / state), *cuts)
+    assert code == 1 and out == ""
+    assert err == (f"superselect: error: --cut '{named}': "
+                   "trivial cut: both sides of a bipartition must be nonempty\n")
+
+
 @pytest.mark.parametrize("cut_args", [(), ("--cut", "1,2", "--cut", "0", "--cut", "0")],
                          ids=["every-cut", "chosen-cuts"])
 def test_entangle_report_equals_per_cut_schmidt(capsys, tmp_path, cut_args):

@@ -224,6 +224,27 @@ def test_predicates_match_oracle_on_random_suite():
         assert is_entangled_somewhere(reg, vec).entangled == oracle_entangled_somewhere(vec)
 
 
+@pytest.mark.parametrize("registry, n, sector, size", [
+    (electron_positron_registry(1), 6, (0,), 4),
+    (color_toy_registry(), 4, (0,), 5),
+], ids=["ep-n6", "colour-n4"])
+def test_predicates_scan_cut_masks_without_building_a_cut(monkeypatch, registry, n, sector, size):
+    rng = np.random.default_rng(n)
+    basis = sector_basis(registry, n, sector)
+    amps = rng.normal(size=size) + 1j * rng.normal(size=size)
+    picks = rng.choice(len(basis), size=size, replace=False)
+    vec = StateVector(dict(zip([basis[i] for i in picks], amps / np.linalg.norm(amps))))
+    want = {cut.key(): schmidt(vec, cut).rank for cut in all_bipartitions(n)}
+    assert len(set(want.values())) > 1  # a key order mix-up would show
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a predicate built a Bipartition")
+
+    monkeypatch.setattr(entangle_module, "Bipartition", refuse)
+    for predicate in (is_packaged_entangled, is_entangled_somewhere):
+        assert list(predicate(registry, vec).cut_ranks.items()) == list(want.items())
+
+
 def test_schmidt_values_invariant_under_local_unitaries():
     rng = np.random.default_rng(29)
     reg = electron_positron_registry(2)

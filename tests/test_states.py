@@ -578,6 +578,25 @@ def test_state_document_validation():
         state_from_dict(doc)
 
 
+_ONE_LABEL = {"n": 1, "terms": [{"labels": [{"species": "e-", "spin": 0}], "re": 1.0, "im": 0.0}]}
+
+
+@pytest.mark.parametrize("document, message", [
+    ([_ONE_LABEL], "state document must be an object, got list"),
+    ("e-", "state document must be an object, got str"),
+    ({**_ONE_LABEL, "terms": [{"labels": [{"species": ["x"]}], "re": 1.0}]},
+     "state field 'species' must be a string, got ['x']"),
+    ({**_ONE_LABEL, "terms": [{"labels": [{"species": 5}], "re": 1.0}]},
+     "state field 'species' must be a string, got 5"),
+], ids=["list-document", "str-document", "list-species", "int-species"])
+def test_state_loader_names_the_malformed_field(tmp_path, document, message):
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(document))
+    with pytest.raises(ConfigurationError) as excinfo:
+        load_state(str(path))
+    assert str(excinfo.value) == message
+
+
 def test_state_document_label_validation_against_registry(ep):
     doc = {
         "n": 1,
