@@ -9,8 +9,11 @@ The build has four steps:
    every register are entangled on every cut. The seeds are orthonormal by
    construction.
 2. Check the seed columns against the every-cut entanglement predicate, all
-   at once: one index plan of the sector serves every check, and each cut
-   costs one batched SVD over the columns that have not yet failed.
+   at once, through one index plan of the sector. ``every_cut_entangled``
+   decides a two-term seed by comparing its two code rows and the ratio of
+   its amplitudes, and a column of 3 to 64 terms by a 2 x 2-minor
+   certificate, without an SVD; only what these leave costs one batched SVD
+   per cut over the columns that have not yet failed.
 3. Mix. Widen the failing columns by whole passing seed pairs, lowest index
    first, until their support passes the structural test of
    ``_admits_entangled``, then multiply them by one seeded Haar-random

@@ -120,6 +120,15 @@ _RANK_BLOCK_KEYS = 1 << 19
 #: Most bytes one batched SVD stack of cut matrices takes, or one matrix if
 #: a single matrix is larger.
 _SVD_STACK_BYTES = 1 << 25
+#: The every-cut check leaves a column to the SVD where its verdict without
+#: one would come within this factor of the rank cutoff ``RANK_REL_TOL``.
+_TIER_MARGIN = 1e3
+#: A 2 x 2 minor above this times a column's squared norm certifies a cut.
+_MINOR_TOL = RANK_REL_TOL * _TIER_MARGIN
+#: Most terms a column may have for the 2 x 2-minor certificate.
+_MINOR_TERMS = 64
+#: Bytes the certificate takes per (column, term, cut), for its blocking.
+_MINOR_ELEMENT_BYTES = 256
 
 
 class CutPlan:
@@ -269,23 +278,22 @@ class SchmidtResult:
         return float(max(0.0, -np.sum(lam * np.log(lam))))
 
 
-def _spectra(vec: StateVector, member: np.ndarray) -> list[np.ndarray]:
-    """Each (cuts x n) ``member`` row's singular values, in row order: one plan
-    for the state's support ranks the rows in blocks, then ``CutPlan.spectra``
-    runs once per (L, R) shape in a block, bit for bit each cut's own SVD."""
+def _spectra(vec: StateVector, member: np.ndarray):
+    """Yield, group by group, (rows, values): indices of (cuts x n) ``member``
+    rows of one (L, R) shape and their stacked (rows, min(L, R)) singular
+    values. One plan for the state's support ranks the rows in blocks, then
+    ``CutPlan.spectra`` runs once per shape in a block, bit for bit each
+    cut's own SVD."""
     plan = CutPlan(vec.terms, vec.n)
     amplitudes = _amplitudes(vec)[:, None]
-    found = []
+    start = 0
     for block in plan.rank_blocks(member):
         by_shape: dict[tuple[int, int], list[int]] = {}
         for c, (_, _, left, right) in enumerate(block):
             by_shape.setdefault((left, right), []).append(c)
-        values = [None] * len(block)
         for group in by_shape.values():
-            for c, value in zip(group, plan.spectra([block[c] for c in group], amplitudes)[:, 0]):
-                values[c] = value
-        found += values
-    return found
+            yield [start + c for c in group], plan.spectra([block[c] for c in group], amplitudes)[:, 0]
+        start += len(block)
 
 
 def cut_spectra(vec: StateVector, cuts) -> list[SchmidtResult]:
@@ -298,7 +306,11 @@ def cut_spectra(vec: StateVector, cuts) -> list[SchmidtResult]:
         cut.check(vec.n)
     member = np.zeros((len(distinct), vec.n), dtype=bool)
     member.ravel()[[i * vec.n + r for i, cut in enumerate(distinct) for r in cut.left]] = True
-    spectrum = dict(zip(distinct, _spectra(vec, member)))
+    found = [None] * len(distinct)
+    for rows, values in _spectra(vec, member):
+        for i, value in zip(rows, values):
+            found[i] = value
+    spectrum = dict(zip(distinct, found))
     return [SchmidtResult(spectrum[cut]) for cut in cuts]
 
 
@@ -353,8 +365,10 @@ def _rank_report(registry: SpeciesRegistry, vec: StateVector, predicate: str) ->
     require_normalized(vec)
     require_single_sector(registry, vec)
     member = _cut_members(vec.n)
-    ranks = {left: int(_ranks(v)) for left, v in zip(_lefts(member), _spectra(vec, member))}
-    return predicate_report(predicate, vec.n, ranks)
+    ranks = np.zeros(len(member), dtype=int)
+    for rows, values in _spectra(vec, member):
+        ranks[rows] = _ranks(values)
+    return predicate_report(predicate, vec.n, dict(zip(_lefts(member), ranks.tolist())))
 
 
 def is_packaged_entangled(registry: SpeciesRegistry, vec: StateVector) -> EntanglementReport:
@@ -371,20 +385,114 @@ def is_entangled_somewhere(registry: SpeciesRegistry, vec: StateVector) -> Entan
     return _rank_report(registry, vec, "some-cut")
 
 
+def _minor_certified(plan: CutPlan, member: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """Whether each column, of 3 to ``_MINOR_TERMS`` terms, has on every cut of
+    ``member`` a 2 x 2 minor of its cut matrix above ``_MINOR_TOL`` times its
+    squared norm. Needs the plan's full mixed-radix keys to fit int64.
+
+    Every 2 x 2 submatrix of a matrix M has singular values at most those of
+    M (interlacing; Horn & Johnson, *Matrix Analysis*), so such a minor is at
+    most sigma_1 sigma_2 of M, while sigma_1 ** 2 <= ||M||_F ** 2: it puts
+    sigma_2 / sigma_1 above ``_MINOR_TOL``, and the SVD finds rank >= 2.
+
+    The minors pair the column's largest term s with each partner t, a state
+    of the plan: rows L(s), L(t) and columns R(s), R(t) of the cut matrix,
+    whose cross entries are the amplitudes of the states L(t) R(s) and
+    L(s) R(t), each looked up by its full key in the plan's sorted keys (0
+    if absent). Where s and t agree on one side of the cut, as when t is s,
+    the cross entries are their own amplitudes, so the two products cancel
+    to rounding, far below the bound: every partner is tried on every cut.
+    The partners are the column's ``terms`` largest entries, larger first,
+    which hold all its terms. Columns, cuts and partners are taken in blocks
+    of at most ``_SVD_STACK_BYTES`` // ``_MINOR_ELEMENT_BYTES`` (column,
+    partner, cut) elements, and a block of columns takes no more partners
+    once each of its cuts is certified.
+    """
+    n, k = plan.n, columns.shape[1]
+    place = np.ones(n, dtype=np.int64)  # a register's place value in a full key
+    place[:-1] = np.cumprod(plan.radices[:0:-1])[::-1]
+    keys = plan.codes @ place
+    order = np.argsort(keys)
+    ordered = keys[order]
+
+    size = np.abs(columns)
+    terms = int(np.count_nonzero(columns, axis=0).max())
+    rows = np.argpartition(-size, terms - 1, axis=0)[:terms].T
+    index = np.arange(k)[:, None]
+    rows = np.take_along_axis(rows, np.argsort(-size[rows, index], axis=1), axis=1)
+    amps = columns[rows, index]
+    s, top = rows[:, 0], amps[:, 0]
+    bound = _MINOR_TOL * np.sum(size**2, axis=0)
+
+    def cross(key, col):  # each key's amplitude in its column, 0 off the plan's states
+        at = np.minimum(np.searchsorted(ordered, key), len(ordered) - 1)
+        return np.where(ordered[at] == key, columns[order[at], col], 0)
+
+    elements = max(1, _SVD_STACK_BYTES // _MINOR_ELEMENT_BYTES)
+    certified = np.ones(k, dtype=bool)
+    for b in range(0, len(member), elements):
+        lefts = (member[b:b + elements] * place).T  # a state's codes times these give its left keys
+        width = max(1, elements // lefts.shape[1])  # columns in one block
+        for a in range(0, k, width):
+            block = slice(a, a + width)
+            left = plan.codes[s[block]] @ lefts  # L(s) on each cut
+            right = keys[s[block], None] - left  # R(s)
+            pending = np.ones(left.shape, dtype=bool)
+            step = max(1, elements // left.size)  # partners in one block
+            for j in range(0, terms, step):
+                t = rows[block, j:j + step]
+                tl = plan.codes[t] @ lefts  # L(t)
+                key = [tl + right[:, None], keys[t][:, :, None] - tl + left[:, None]]  # L(t) R(s), L(s) R(t)
+                x, y = cross(key, index[block, :, None])
+                minor = np.abs(top[block, None, None] * amps[block, j:j + step, None] - x * y)
+                pending &= ~np.any(minor > bound[block, None, None], axis=1)
+                if not pending.any():
+                    break
+            certified[block] &= ~pending.any(axis=1)
+    return certified
+
+
 def every_cut_entangled(plan: CutPlan, columns: np.ndarray) -> list[bool]:
     """The every-cut predicate on each column of coordinates over ``plan.states``.
 
-    Cuts are ranked block by block as the loop reaches them. Per cut, all
-    columns still in play share one ``CutPlan.spectra`` call; a column that
-    factorizes on a cut is not checked on later ones, and once none is left
-    no further block is ranked. A column's verdict is that of
-    ``is_packaged_entangled`` on its state: padding a cut matrix with the
-    zero rows and columns of the plan's wider support leaves its nonzero
-    singular values unchanged up to rounding.
+    A column's verdict is that of ``is_packaged_entangled`` on its state:
+    padding a cut matrix with the zero rows and columns of the plan's wider
+    support leaves its nonzero singular values unchanged up to rounding.
+    More than ``MAX_CUTS`` cuts are refused before any column is read. Three
+    exact tiers decide what they can without an SVD:
+
+    - a column of at most one term is not entangled;
+    - a two-term column a b_p + c b_q is entangled iff b_p and b_q differ at
+      every register and min(|a|, |c|) > RANK_REL_TOL * max(|a|, |c|): on
+      every cut its matrix then holds a and c in distinct rows and columns,
+      while a register they share fixes one side of a cut. A ratio within a
+      factor ``_TIER_MARGIN`` of the cutoff is left to the SVD;
+    - a column of at most ``_MINOR_TERMS`` terms is entangled when
+      ``_minor_certified`` finds a large 2 x 2 minor on every cut.
+
+    The rest go to the SVD. Cuts are ranked block by block as the loop
+    reaches them. Per cut, all columns still in play share one
+    ``CutPlan.spectra`` call; a column that factorizes on a cut is not
+    checked on later ones, and once none is left no further block is ranked.
     """
+    member = _cut_members(plan.n)
     verdict = np.zeros(columns.shape[1], dtype=bool)
-    live = np.arange(columns.shape[1] if plan.n > 1 else 0)  # the columns still in play
-    blocks = plan.rank_blocks(_cut_members(plan.n)) if live.size else ()
+    if not len(member):  # n < 2: no cut
+        return verdict.tolist()
+    count = np.count_nonzero(columns, axis=0)
+    two = np.flatnonzero(count == 2)
+    p, q = np.nonzero(columns[:, two].T)[1].reshape(-1, 2).T
+    small, large = np.sort(np.abs([columns[p, two], columns[q, two]]), axis=0)
+    apart = np.all(plan.codes[p] != plan.codes[q], axis=1)
+    verdict[two] = apart & (small > RANK_REL_TOL * _TIER_MARGIN * large)
+    undecided = count > 2
+    undecided[two] = apart & (small >= RANK_REL_TOL / _TIER_MARGIN * large) & ~verdict[two]
+    few = np.flatnonzero((count > 2) & (count <= _MINOR_TERMS))
+    if few.size and math.prod(plan.radices) <= _KEY_LIMIT:
+        verdict[few] = _minor_certified(plan, member, columns[:, few])
+    live = np.flatnonzero(undecided & ~verdict)  # the columns still in play
+    columns = columns[:, live]
+    blocks = plan.rank_blocks(member) if live.size else ()
     for cut in itertools.chain.from_iterable(blocks):
         keep = _ranks(plan.spectra([cut], columns)[0]) > 1
         if not keep.all():  # only a cut that drops columns copies the rest

@@ -208,17 +208,23 @@ class SectorDecomposition:
         return {q: w for q, (_, w) in sorted(self.parts.items())}
 
 
+def _sector_groups(vec: StateVector, sectors) -> list[tuple[SectorIndex, dict, float]]:
+    """The state's terms grouped by ``sectors`` (each term's gauged charges, in
+    term order), in sorted sector order: each sector, its terms in term order
+    and their squared norm, summed in that order."""
+    groups: dict[tuple[int, ...], dict[BasisState, complex]] = {}
+    for (state, amp), q in zip(vec.terms.items(), sectors):
+        groups.setdefault(q, {})[state] = amp
+    return [
+        (SectorIndex(q), terms, _squared_norm(terms.values())) for q, terms in sorted(groups.items())
+    ]
+
+
 def sector_decompose(registry: SpeciesRegistry, vec: StateVector) -> SectorDecomposition:
     """Split a state into its charge-sector components; reassembly is exact."""
     table = SpeciesTable(registry)
-    groups: dict[tuple[int, ...], dict[BasisState, complex]] = {}
-    for state, amp in vec.terms.items():
-        groups.setdefault(table.sector_charges(state), {})[state] = amp
-    parts = {
-        SectorIndex(q): (StateVector(terms, n=vec.n), _squared_norm(terms.values()))
-        for q, terms in sorted(groups.items())
-    }
-    return SectorDecomposition(parts)
+    groups = _sector_groups(vec, [table.sector_charges(state) for state in vec.terms])
+    return SectorDecomposition({q: (StateVector(terms, n=vec.n), w) for q, terms, w in groups})
 
 
 @dataclass
@@ -234,14 +240,14 @@ class SuperselectionReport:
 
 def validate_superselection(registry: SpeciesRegistry, vec: StateVector):
     """Return the unique SectorIndex of a one-sector state, else a SuperselectionReport
-    carrying ``sector_decompose``'s weights."""
+    carrying ``sector_decompose``'s weights, from the sectors computed here."""
     if vec.is_zero():
         raise DomainError("superselection is undefined for the zero state")
     table = SpeciesTable(registry)
     sectors = [table.sector_charges(state) for state in vec.terms]
     if sectors.count(sectors[0]) == len(sectors):
         return SectorIndex(sectors[0])
-    return SuperselectionReport(sector_decompose(registry, vec).weights())
+    return SuperselectionReport({q: w for q, _, w in _sector_groups(vec, sectors)})
 
 
 def require_single_sector(registry: SpeciesRegistry, vec: StateVector) -> SectorIndex:

@@ -23,10 +23,13 @@ from superselect.charges import (
 from superselect.entangle import (
     HERMITICITY_TOL,
     PPT_TOL,
+    RANK_REL_TOL,
     TRACE_TOL,
     Bipartition,
+    CutPlan,
     DensityMatrix,
     PptResult,
+    all_bipartitions,
 )
 from superselect.errors import ConfigurationError, DomainError
 from superselect.fock import BasisState, RegisterLabel, attained_sectors, sector_basis
@@ -190,6 +193,24 @@ def reference_cut_spectra(vec: StateVector, cuts) -> list[np.ndarray]:
     """Each cut's singular values from its own SVD of ``reference_amplitude_matrix``,
     one cut at a time; ``cut_spectra`` must reproduce them bit for bit."""
     return [np.linalg.svd(reference_amplitude_matrix(vec, cut)[0], compute_uv=False) for cut in cuts]
+
+
+def reference_every_cut_entangled(plan: CutPlan, columns: np.ndarray) -> list[bool]:
+    """The every-cut predicate on each column from SVDs alone: every column's
+    spectrum on every cut of ``all_bipartitions``, through the plan's ranking
+    and ``CutPlan.spectra``, with no tier and no early exit.
+    ``every_cut_entangled`` must give the same verdicts."""
+    k = columns.shape[1]
+    cuts = all_bipartitions(plan.n)
+    if not cuts or not k:
+        return [False] * k
+    member = np.array([[r in cut.left for r in range(plan.n)] for cut in cuts])
+    entangled = np.ones(k, dtype=bool)
+    for block in plan.rank_blocks(member):
+        for cut in block:
+            values = CutPlan.spectra([cut], columns)[0]
+            entangled &= (values > RANK_REL_TOL * values[:, :1]).sum(axis=1) > 1
+    return entangled.tolist()
 
 
 # -- label-set reference for the builder's structural test -----------------------

@@ -241,6 +241,23 @@ def test_seventy_dimensional_sector_verifies(ep):
     assert verify_basis(basis, ep) == []
 
 
+def test_two_term_seeds_are_built_and_checked_without_an_svd(monkeypatch, ep):
+    # every seed pair of e± n=10 sector 0 differs at every register, so the
+    # two-term tier decides all 252 columns in the build and in the check
+    calls = []
+    svd = np.linalg.svd
+
+    def spy(*args, **kwargs):
+        calls.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    basis = build_packaged_entangled_basis(ep, 10, SectorIndex((0,)))
+    assert basis.dimension == 252 and not basis.degenerate
+    assert check_basis(basis, ep)[0] == []
+    assert calls == []
+
+
 def test_diagnostics_shape(ep):
     basis = build_packaged_entangled_basis(ep, 3, (-1,))
     assert [entry["index"] for entry in basis.diagnostics] == list(range(basis.dimension))

@@ -31,7 +31,7 @@ from superselect.scenarios import (
     electron_positron_registry,
     neutral_kaon_registry,
 )
-from superselect.states import SectorIndex, StateVector
+from superselect.states import SectorIndex, StateVector, from_coordinates, normalize
 
 from helpers import (
     dyon_registry,
@@ -43,6 +43,7 @@ from helpers import (
     random_single_sector_state,
     reference_cut_spectra,
     reference_density_admission,
+    reference_every_cut_entangled,
     reference_internal_marginal,
     reference_ppt_check,
     two_family_registry,
@@ -416,7 +417,9 @@ def test_every_cut_check_keeps_no_per_cut_state(monkeypatch):
 
 
 def test_every_cut_check_ranks_no_block_after_the_last_column_fails(monkeypatch):
-    # one cut per block; every product column factorizes on the first cut
+    # one cut per block; every column pairs two states that differ at every
+    # register with a ratio of 1e-10, inside the band left to the SVD, which
+    # finds rank 1 on the first cut
     monkeypatch.setattr(entangle_module, "_RANK_BLOCK_KEYS", 1)
     rank_sides = CutPlan._rank_sides
     passes = []
@@ -427,8 +430,221 @@ def test_every_cut_check_ranks_no_block_after_the_last_column_fails(monkeypatch)
 
     monkeypatch.setattr(CutPlan, "_rank_sides", spy)
     basis = sector_basis(electron_positron_registry(1), 4, SectorIndex((0,)))
-    assert every_cut_entangled(CutPlan(basis, 4), np.eye(len(basis), dtype=complex)) == [False] * 6
+    columns = np.zeros((6, 6), dtype=complex)
+    for k in range(3):  # the mirror pairs of the builder's seeds, either state the larger
+        columns[[k, 5 - k], 2 * k] = 1.0, 1e-10
+        columns[[k, 5 - k], 2 * k + 1] = 1e-10j, -1.0
+    plan = CutPlan(basis, 4)
+    assert np.all(plan.codes[:3] != plan.codes[:2:-1])
+    assert every_cut_entangled(plan, columns) == [False] * 6
     assert passes == [2]  # both sides of the first cut, and no later block
+
+
+# (registry, n, sector) of the tier property: n = 1, one-state and small
+# sectors, spin flips that change one register alone, two gauged charges,
+# and a sector of 70 states for columns past the certificate's term cap
+TIER_SECTORS = [
+    (electron_positron_registry(1), 1, (1,)),
+    (electron_positron_registry(1), 2, (0,)),
+    (electron_positron_registry(1), 3, (3,)),
+    (electron_positron_registry(1), 4, (0,)),
+    (electron_positron_registry(1), 5, (1,)),
+    (electron_positron_registry(2), 3, (1,)),
+    (color_toy_registry(), 3, (-1,)),
+    (dyon_registry(), 3, (1, 1)),
+    (electron_positron_registry(1), 8, (0,)),
+]
+TIER_KINDS = [
+    "zero", "one", "pair", "mirror", "one-shared", "sparse", "product", "near-product", "unsplit", "dense",
+]
+
+
+def _product_column(codes, left, s, t, rng):
+    """(a L(s) + b L(t)) (c R(s) + e R(t)) across the cut whose left side is
+    where ``left`` is True, as a column over the states coded by ``codes``;
+    None unless both cross states are among them and the four are distinct."""
+    index = {tuple(row): i for i, row in enumerate(codes.tolist())}
+    cross = [index.get(tuple(np.where(left, codes[u], codes[v]))) for u, v in ((s, t), (t, s))]
+    if None in cross or len({s, t, *cross}) < 4:
+        return None
+    a, b, c, e = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    col = np.zeros(len(codes), dtype=complex)
+    col[[s, t, *cross]] = a * c, b * e, a * e, b * c
+    return col
+
+
+def _tier_column(kind, exponent, basis, codes, rng):
+    """One column of ``kind`` over the sector ``basis``.
+
+    ``exponent`` sets the ratio 10 ** exponent of a two-term column, and the
+    weight of the terms added to a product, or to the one largest term of
+    near-product and unsplit columns."""
+    d = len(basis)
+    col = np.zeros(d, dtype=complex)
+    phase = lambda size=None: np.exp(2j * math.pi * rng.random(size))
+    if kind == "zero":
+        return col
+    if kind in ("pair", "mirror", "one-shared") and d > 1:
+        p, q = rng.choice(d, size=2, replace=False)
+        if kind == "mirror" and d - 1 - p != p:
+            q = d - 1 - p
+        if kind == "one-shared":  # a pair that agrees at exactly one register, if any
+            shared = np.flatnonzero((codes == codes[p]).sum(axis=1) == 1)
+            q = shared[rng.integers(len(shared))] if shared.size else q
+        col[[p, q]] = phase(2) * [1.0, 10.0 ** exponent]
+        return col
+    if kind == "sparse" and d > 2:
+        terms = rng.choice(d, size=int(rng.integers(3, min(d, 64) + 1)), replace=False)
+        col[terms] = rng.standard_normal(len(terms)) + 1j * rng.standard_normal(len(terms))
+        return col
+    if kind == "dense" and d > 64:
+        col[:] = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        return col
+    if kind == "product" and d > 1:
+        # a product across a random cut, if one turns up; near-product with other terms added
+        left = rng.random(codes.shape[1]) < 0.5
+        for _ in range(20):
+            product = _product_column(codes, left, *rng.choice(d, size=2, replace=False), rng)
+            if product is not None:
+                col = product
+                break
+        others = rng.choice(d, size=int(rng.integers(0, min(d, 3) + 1)), replace=False)
+        noise = rng.standard_normal(len(others)) + 1j * rng.standard_normal(len(others))
+        col[others] += noise * 10.0 ** exponent
+        return col
+    top = int(rng.integers(d))
+    col[top] = phase()
+    if kind == "near-product":
+        others = np.delete(np.arange(d), top)
+    elif kind == "unsplit":  # states that differ from the largest at one register only: they split no cut
+        others = np.flatnonzero((codes != codes[top]).sum(axis=1) == 1)
+    else:
+        return col
+    others = rng.permutation(others)[: rng.integers(1, 8)]
+    col[others] = phase(len(others)) * rng.uniform(0.1, 0.9, len(others)) * 10.0 ** exponent
+    return col
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(range(len(TIER_SECTORS))),
+    st.lists(
+        st.tuples(
+            st.sampled_from(TIER_KINDS),
+            # both sides of the two-term tier's band [1e-12, 1e-6] and of the cutoff 1e-9
+            st.one_of(st.floats(-16, 0), st.sampled_from([-12.01, -11.99, -9.01, -8.99, -6.01, -5.99])),
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+    st.integers(-3, 3),
+    st.integers(0, 2**32 - 1),
+)
+def test_tiered_verdicts_equal_the_svd_reference_and_the_oracle(case, kinds, scale, seed):
+    registry, n, sector = TIER_SECTORS[case]
+    basis = sector_basis(registry, n, SectorIndex(sector))
+    plan = CutPlan(basis, n)
+    rng = np.random.default_rng(seed)
+    columns = np.array([_tier_column(kind, e, basis, plan.codes, rng) for kind, e in kinds]).T * 10.0**scale
+    verdicts = every_cut_entangled(plan, columns)
+    assert verdicts == reference_every_cut_entangled(plan, columns)
+    # the oracle's own cutoff (weight 1e-9 off the top Schmidt value) differs
+    # from the rank cutoff, so it is asked only where the smallest sigma_2 /
+    # sigma_1 over the cuts is far from both
+    for k, col in enumerate(columns.T):
+        if not col.any():
+            assert not verdicts[k]
+            continue
+        vec = normalize(from_coordinates(col / np.linalg.norm(col), basis))
+        spectra = [r.singular_values for r in cut_spectra(vec, all_bipartitions(n))]
+        least = min((v[1] / v[0] if len(v) > 1 else 0.0 for v in spectra), default=0.0)
+        if least <= 1e-11 or least >= 1e-3:
+            assert verdicts[k] == oracle_packaged_entangled(vec), kinds[k]
+
+
+def _momentum_columns(basis):
+    """Fourier transforms over the orbits of the cyclic register shift: at
+    most n equal-modulus terms, orthonormal, spanning the sector."""
+    index = {state: i for i, state in enumerate(basis)}
+    seen, columns = set(), []
+    for state in basis:
+        if state in seen:
+            continue
+        orbit = [state]
+        while (shifted := BasisState(orbit[-1].labels[1:] + orbit[-1].labels[:1])) != state:
+            orbit.append(shifted)
+        seen.update(orbit)
+        for k in range(len(orbit)):
+            col = np.zeros(len(basis), dtype=complex)
+            col[[index[s] for s in orbit]] = np.exp(2j * math.pi * k * np.arange(len(orbit)) / len(orbit))
+            columns.append(col / math.sqrt(len(orbit)))
+    return np.array(columns).T
+
+
+@pytest.mark.parametrize("elements", [None, 1, 40, 200], ids=["default", "one", "forty", "two-hundred"])
+def test_certificate_decides_momentum_columns_without_an_svd(monkeypatch, elements):
+    basis = sector_basis(electron_positron_registry(1), 7, SectorIndex((1,)))
+    plan = CutPlan(basis, 7)
+    columns = _momentum_columns(basis)  # 35 columns of 1 to 7 terms
+    want = reference_every_cut_entangled(plan, columns)
+    assert want == [True] * 35
+    if elements is not None:
+        # blocks of one (column, partner, cut); of 40 of one column's 63 cuts;
+        # of three columns' cuts
+        budget = entangle_module._MINOR_ELEMENT_BYTES * elements
+        monkeypatch.setattr(entangle_module, "_SVD_STACK_BYTES", budget)
+    calls = []
+    svd = np.linalg.svd
+
+    def spy(*args, **kwargs):
+        calls.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    assert every_cut_entangled(plan, columns) == want
+    assert calls == []
+
+
+@pytest.mark.parametrize("registry, n, sector", [
+    (electron_positron_registry(1), 4, (0,)),
+    (electron_positron_registry(1), 5, (1,)),
+    (electron_positron_registry(2), 3, (1,)),
+    (color_toy_registry(), 3, (-1,)),
+], ids=["ep-n4", "ep-n5", "ep-spin2-n3", "colour-n3"])
+@pytest.mark.parametrize("elements", [None, 3], ids=["default", "three"])
+def test_certificate_certifies_no_cut_a_column_factorizes_on(monkeypatch, registry, n, sector, elements):
+    # a product across each cut for every pair s, t whose cross states are in
+    # the sector: the minor of s and t vanishes on that cut; blocks of three
+    # (column, partner, cut) split the cuts of a column
+    if elements is not None:
+        budget = entangle_module._MINOR_ELEMENT_BYTES * elements
+        monkeypatch.setattr(entangle_module, "_SVD_STACK_BYTES", budget)
+    basis = sector_basis(registry, n, SectorIndex(sector))
+    plan = CutPlan(basis, n)
+    rng = np.random.default_rng(n)
+    member = np.array([np.isin(np.arange(n), sorted(cut.left)) for cut in all_bipartitions(n)])
+    products = [
+        _product_column(plan.codes, left, s, t, rng)
+        for left in member
+        for s, t in itertools.combinations(range(len(basis)), 2)
+    ]
+    columns = np.array([col for col in products if col is not None]).T
+    assert columns.shape[1] >= 4
+    assert not entangle_module._minor_certified(plan, member, columns).any()
+    assert every_cut_entangled(plan, columns) == [False] * columns.shape[1]
+
+
+def test_certificate_is_skipped_where_full_keys_could_pass_int64(monkeypatch):
+    basis = sector_basis(electron_positron_registry(1), 7, SectorIndex((1,)))
+    plan = CutPlan(basis, 7)
+    columns = _momentum_columns(basis)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the certificate ran on keys past the limit")
+
+    monkeypatch.setattr(entangle_module, "_KEY_LIMIT", math.prod(plan.radices) - 1)
+    monkeypatch.setattr(entangle_module, "_minor_certified", refuse)
+    assert every_cut_entangled(plan, columns) == reference_every_cut_entangled(plan, columns)
 
 
 def _reference_side(states, registers):
