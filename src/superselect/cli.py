@@ -10,19 +10,19 @@ import math
 import os
 import sys
 import time
+from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .builder import build_packaged_entangled_basis, check_basis
 from .charges import load_registry
 from .entangle import (
     Bipartition,
-    all_bipartitions,
-    cut_spectra,
+    _cut_members,
+    _cut_report,
     entanglement_entropy,
     internal_charge_marginal,
     is_packaged_entangled,
     ppt_check,
-    predicate_report,
 )
 from .errors import DomainError, SimulatorError, SuperselectionError
 from .fock import SectorIndex
@@ -221,31 +221,13 @@ def _run_basis(args) -> tuple[int, dict]:
 
 def _run_entangle(args) -> tuple[int, dict]:
     registry, state = _load(args)
-    every = all_bipartitions(state.n)
-    cuts = [_parse_cut(c, state.n) for c in args.cut] if args.cut else every
+    member = _cut_members(state.n)  # too many cuts is refused before any --cut is read
+    lefts = [_parse_cut(c, state.n).key() for c in args.cut] if args.cut else None
     # a bad norm, then a cross-sector state, is refused before any cut is ranked
     require_normalized(state)
     require_single_sector(registry, state)
-    # one SVD per distinct cut: the reported ones, then the rest the predicates need
-    scanned = list(dict.fromkeys(cuts + every))
-    spectra = dict(zip(scanned, cut_spectra(state, scanned)))
-    rank = {cut: result.rank for cut, result in spectra.items()}  # derived once per cut
-    per_cut = [
-        {
-            "cut": str(cut),
-            "singular_values": [float(v) for v in spectra[cut].singular_values],
-            "rank": rank[cut],
-            "entropy_nats": spectra[cut].entropy(),
-        }
-        for cut in cuts
-    ]
-    ranks = {cut.key(): rank[cut] for cut in every}
-    results = {
-        "cuts": per_cut,
-        "packaged_entangled": predicate_report("every-cut", state.n, ranks).to_dict(),
-        "entangled_somewhere": predicate_report("some-cut", state.n, ranks).to_dict(),
-    }
-    return EXIT_OK, results
+    rows, every, some = _cut_report(state, member, lefts)
+    return EXIT_OK, {"cuts": rows, "packaged_entangled": every, "entangled_somewhere": some}
 
 
 def _run_measure(args) -> tuple[int, dict]:
@@ -371,6 +353,69 @@ def _render_value(key, value, indent) -> list[str]:
     return [f"{pad}{key}: {value}"]
 
 
+def _with_members(value: dict, texts: dict[str, str], depth: int) -> str:
+    """``value``'s text ``depth`` levels deep in ``json.dumps(report,
+    indent=2, sort_keys=True, allow_nan=False)``, with each of ``texts``,
+    formatted for that depth, as the value of the member it names.
+
+    The rest goes through ``json.dumps``. It escapes every newline inside a
+    string, so each raw one starts an indented line, and only the members of
+    ``value`` itself start a line with exactly two spaces and a quote: that
+    finds each member's placeholder, in sorted key order.
+    """
+    rest = json.dumps({**value, **dict.fromkeys(texts, {})}, indent=2, sort_keys=True, allow_nan=False)
+    pad = "\n" + "  " * depth
+    parts = []
+    for key in sorted(texts):
+        placeholder = "\n  " + encode_basestring_ascii(key) + ": {}"
+        head, _, rest = rest.partition(placeholder)
+        parts += [(head + placeholder[:-2]).replace("\n", pad), texts[key]]
+    return "".join(parts) + rest.replace("\n", pad)
+
+
+def _report_json(report: dict) -> str:
+    """``json.dumps(report, indent=2, sort_keys=True, allow_nan=False)``, with
+    an ``entangle`` report's per-cut rows and ``cut_ranks`` maps formatted in bulk.
+
+    Their schema is fixed, so their text is the one json's own encoder emits:
+    strings through ``encode_basestring_ascii``, ints through ``int.__repr__``
+    and floats through ``float.__repr__``. Every other value goes through
+    ``json.dumps``. A non-finite float anywhere sends the whole report to
+    ``json.dumps``, so the ValueError is the one it raises.
+    """
+    results = report["results"]
+    if results.keys() != {"cuts", "packaged_entangled", "entangled_somewhere"}:
+        return json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
+    # one per-cut row, nested as the report nests it
+    template = (
+        '\n      {\n        "cut": %s,\n        "entropy_nats": %s,\n        "rank": %s,'
+        '\n        "singular_values": %s\n      }'
+    )
+    try:
+        rows = []
+        for row in results["cuts"]:
+            values = ",\n          ".join(map(float.__repr__, row["singular_values"]))
+            entropy = float.__repr__(row["entropy_nats"])
+            if "n" in values or "n" in entropy:  # inf, -inf or nan
+                raise ValueError("a non-finite float")
+            rows.append(template % (
+                encode_basestring_ascii(row["cut"]),
+                entropy,
+                int.__repr__(row["rank"]),
+                "[\n          " + values + "\n        ]" if values else "[]",
+            ))
+        members = {"cuts": "[" + ",".join(rows) + "\n    ]" if rows else "[]"}
+        for key in ("packaged_entangled", "entangled_somewhere"):
+            ranks = sorted(results[key]["cut_ranks"].items())
+            text = "{" + ",".join(
+                "\n        " + encode_basestring_ascii(cut) + ": " + int.__repr__(rank) for cut, rank in ranks
+            ) + "\n      }" if ranks else "{}"
+            members[key] = _with_members(results[key], {"cut_ranks": text}, 2)
+        return _with_members(report, {"results": _with_members(results, members, 1)}, 0)
+    except ValueError:
+        return json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = _build_parser()
@@ -393,7 +438,7 @@ def main(argv=None) -> int:
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
     }
     if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True, allow_nan=False))
+        print(_report_json(report))
     else:
         sys.stdout.write(_render_text(report, code))
     return code

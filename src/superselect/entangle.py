@@ -371,6 +371,84 @@ def _rank_report(registry: SpeciesRegistry, vec: StateVector, predicate: str) ->
     return predicate_report(predicate, vec.n, dict(zip(_lefts(member), ranks.tolist())))
 
 
+def _entropies(values: np.ndarray) -> list[float]:
+    """``SchmidtResult.entropy`` of each row of (cuts, m) stacked singular
+    values, bit for bit.
+
+    ``np.sum`` of k <= 128 terms adds them in a fixed order: below 8 one by
+    one; else eight running sums, one per position mod 8, over the k // 8
+    whole blocks of eight, joined pairwise as ((0+1)+(2+3))+((4+5)+(6+7)),
+    then the rest one by one. Rows are summed in that order, in groups of
+    one block count. A row's kept values lead it, so the zeros that pad the
+    rest add nothing. A lone row, or one that keeps more than 128 (whose sum
+    numpy splits recursively), takes its own ``SchmidtResult``.
+    """
+    if len(values) == 1:
+        return [SchmidtResult(values[0]).entropy()]
+    lam = values**2
+    # the cutoff as entropy() squares it: a scalar power, which may round unlike x * x
+    cutoff = [(RANK_REL_TOL * top) ** 2 for top in values[:, 0].tolist()]
+    keep = lam > np.array(cutoff)[:, None]
+    terms = lam * np.log(np.where(keep, lam, 1.0))
+    kept = keep.sum(axis=1).tolist()
+    blocks = [min(k, 129) // 8 for k in kept]  # 16 whole blocks is the most the fixed order covers
+    distinct = set(blocks)
+    total = np.empty(len(values))
+    for b in distinct:
+        rows = [i for i, c in enumerate(blocks) if c == b] if len(distinct) > 1 else slice(None)
+        part = terms[rows]
+        if b:
+            r = part[:, :8].copy()
+            for j in range(1, b):
+                r += part[:, 8 * j:8 * j + 8]
+            head = ((r[:, 0] + r[:, 1]) + (r[:, 2] + r[:, 3])) + ((r[:, 4] + r[:, 5]) + (r[:, 6] + r[:, 7]))
+            part = np.column_stack([head, part[:, 8 * b:]])
+        total[rows] = np.cumsum(part, axis=1)[:, -1]  # one by one, left to right
+    entropies = [max(0.0, -t) for t in total.tolist()]
+    for i, k in enumerate(kept):
+        if k > 128:
+            entropies[i] = SchmidtResult(values[i]).entropy()
+    return entropies
+
+
+def _cut_report(vec: StateVector, member: np.ndarray, lefts=None) -> tuple[list[dict], dict, dict]:
+    """CLI ``entangle``'s results on a state the caller has admitted: one row
+    per reported cut, then the every-cut and some-cut reports' ``to_dict()``.
+
+    ``member`` is ``_cut_members(vec.n)``. ``lefts`` lists the reported cuts'
+    left sides as ascending register tuples (``cut.key()``); None reports
+    every cut of ``member``. A reported cut whose left side lacks register 0
+    adds its own membership row, so it keeps its own SVD. A row holds the
+    cut as ``str(cut)`` writes it, and its singular values, rank and entropy
+    as ``SchmidtResult`` gives them: all come from one scan of ``_spectra``,
+    a group's ranks and entropies from its stacked spectra.
+    """
+    n = vec.n
+    canonical = len(member)
+    if lefts is not None:
+        flipped = [left for left in dict.fromkeys(lefts) if left[0] != 0]
+        extra = np.zeros((len(flipped), n), dtype=bool)
+        for row, left in zip(extra, flipped):
+            row[list(left)] = True
+        member = np.concatenate([member, extra])
+    keys = _lefts(member)
+    names = [str(r) for r in range(n)]
+    side = lambda row: "{" + ",".join(itertools.compress(names, row)) + "}"
+    labels = [side(left) + "|" + side(right) for left, right in zip(member.tolist(), (~member).tolist())]
+    table = [None] * len(member)
+    for index, values in _spectra(vec, member):
+        for i, singular, rank, entropy in zip(index, values.tolist(), _ranks(values).tolist(), _entropies(values)):
+            table[i] = {"cut": labels[i], "singular_values": singular, "rank": rank, "entropy_nats": entropy}
+    ranks = {key: row["rank"] for key, row in zip(keys[:canonical], table)}
+    if lefts is None:
+        reported = table[:canonical]
+    else:
+        row_of = dict(zip(keys, table))
+        reported = [row_of[left] for left in lefts]
+    every, some = (predicate_report(p, n, ranks).to_dict() for p in ("every-cut", "some-cut"))
+    return reported, every, some
+
+
 def is_packaged_entangled(registry: SpeciesRegistry, vec: StateVector) -> EntanglementReport:
     """Strong predicate: non-factorizable across every bipartition of the registers.
 

@@ -35,6 +35,19 @@ class BasisState:
     """A multi-particle product state: one RegisterLabel per register, order-identifying."""
 
     labels: tuple[RegisterLabel, ...]
+    _hash = None  # not a field: the first __hash__ call stores the hash here
+
+    def __hash__(self) -> int:
+        # the value the dataclass would compute on every call, computed once
+        h = self._hash
+        if h is None:
+            h = hash((self.labels,))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    def __reduce__(self):
+        # rebuilt from the labels, so a pickle never carries this process's string hashes
+        return BasisState, (self.labels,)
 
     @property
     def n(self) -> int:

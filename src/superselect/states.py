@@ -397,23 +397,37 @@ def state_from_dict(data: dict, registry: SpeciesRegistry | None = None) -> Stat
     if not isinstance(raw_terms, list):
         raise ConfigurationError(f"state field 'terms' must be a list, got {type(raw_terms).__name__}")
     terms: dict[BasisState, complex] = {}
+    # one label per distinct (species, spin), made after the type checks (which
+    # keep a spin of True apart from 1) and checked against the registry where
+    # it first appears, after that term's label count
+    made: dict[tuple[str, int], RegisterLabel] = {}
     for entry in raw_terms:
         if not isinstance(entry, dict) or not isinstance(entry.get("labels"), list):
             raise ConfigurationError(f"state term needs a 'labels' list, got {entry!r}")
         labels = []
+        fresh = []
         for raw in entry["labels"]:
             if not isinstance(raw, dict) or "species" not in raw:
                 raise ConfigurationError(f"state label needs a 'species' field, got {raw!r}")
-            spin = _checked_spin(raw.get("spin", 0))
-            labels.append(RegisterLabel(_checked_species(raw["species"]), spin))
-        state = BasisState(tuple(labels))
-        if state.n != n:
+            spin, species = raw.get("spin", 0), raw["species"]
+            if type(spin) is not int:  # a bool among them, which the check refuses
+                _checked_spin(spin)
+            if type(species) is not str:
+                _checked_species(species)
+            key = (species, spin)
+            label = made.get(key)
+            if label is None:
+                label = made[key] = RegisterLabel(*key)
+                fresh.append(label)
+            labels.append(label)
+        if len(labels) != n:
             raise ConfigurationError(
-                f"term has {state.n} labels but state declares n={n}"
+                f"term has {len(labels)} labels but state declares n={n}"
             )
         if registry is not None:
-            for label in labels:
+            for label in fresh:
                 validate_label(registry, label)
+        state = BasisState(tuple(labels))
         amp = complex(_amplitude_part(entry, "re"), _amplitude_part(entry, "im"))
         # a repeated term adds up; a first one is kept as read, so -0.0 parts survive
         terms[state] = terms[state] + amp if state in terms else amp

@@ -8,8 +8,10 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import superselect.cli as cli_module
+import superselect.entangle as entangle_module
 import superselect.fock as fock
 from superselect.charges import save_registry
 from superselect.cli import main
@@ -260,6 +262,25 @@ def test_entangle_report_equals_per_cut_schmidt(capsys, tmp_path, cut_args):
             assert results[key] == predicate(reg, state).to_dict()
 
 
+def test_entangle_builds_no_cut_for_its_every_cut_report(capsys, tmp_path, monkeypatch):
+    reg = electron_positron_registry(1)
+    save_registry(reg, str(tmp_path / "ep.json"))
+    state = random_sector_superposition(np.random.default_rng(3), reg, 6)
+    save_state(state, str(tmp_path / "state.json"))
+    argv = ("entangle", "--registry", str(tmp_path / "ep.json"), "--state", str(tmp_path / "state.json"))
+    expected = [run(capsys, *flags, *argv) for flags in ((), ("--json",))]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("CLI entangle built a Bipartition")
+
+    monkeypatch.setattr(entangle_module, "Bipartition", refuse)
+    monkeypatch.setattr(cli_module, "Bipartition", refuse)
+    for flags, (code, out, err) in zip(((), ("--json",)), expected):
+        again = run(capsys, *flags, *argv)
+        assert (again[0], _strip_timestamp(again[1]), again[2]) == (code, _strip_timestamp(out), err)
+        assert code == 0 and out.count("{0}|{1,2,3,4,5}") == 1
+
+
 def test_entangle_exits_2_on_cross_sector_state(capsys, workdir):
     code, _, err = run(
         capsys, "entangle",
@@ -274,7 +295,7 @@ def _refuse_cut_work(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("cuts were scanned before the state was admitted")
 
-    monkeypatch.setattr(cli_module, "cut_spectra", refuse)
+    monkeypatch.setattr(entangle_module, "_spectra", refuse)
 
 
 def test_entangle_refuses_a_cross_sector_state_before_scanning_cuts(capsys, workdir, monkeypatch):
@@ -614,3 +635,87 @@ def test_a_reused_parser_reports_what_a_fresh_one_does(capsys, workdir, sequence
             assert out == "" and err.startswith("superselect") and ": error: " in err
         else:
             assert err == "" and (f"seed: {seed}\n" in out or f'"seed": {seed},' in out)
+
+
+# -- the --json report writer ---------------------------------------------------
+
+_TEXT = st.text(max_size=12)  # quotes, backslashes, control and non-ASCII characters included
+_FINITE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, 0.1, 1e16]),
+)
+_ROWS = st.lists(
+    st.fixed_dictionaries({
+        "cut": st.one_of(st.sampled_from(["{0}|{1}", "{0,2}|{1,3}"]), _TEXT),
+        "singular_values": st.lists(_FINITE, max_size=10),
+        "rank": st.integers(),
+        "entropy_nats": _FINITE,
+    }),
+    max_size=6,
+)
+_VERDICT = st.fixed_dictionaries({
+    "entangled": st.booleans(),
+    "predicate": st.one_of(st.sampled_from(["every-cut", "some-cut"]), _TEXT),
+    "undefined": st.booleans(),
+    "cut_ranks": st.dictionaries(st.one_of(st.sampled_from(["0", "0,1", "0,10", "0,2"]), _TEXT),
+                                 st.integers(), max_size=12),
+})
+_RESULTS = st.one_of(
+    st.fixed_dictionaries({"cuts": _ROWS, "packaged_entangled": _VERDICT, "entangled_somewhere": _VERDICT}),
+    # other commands' results go to json.dumps whole, an overflowed weight as "inf"
+    st.fixed_dictionaries({
+        "status": st.just("violation"),
+        "sectors": st.dictionaries(_TEXT, st.one_of(_FINITE, st.just("inf")), max_size=3),
+    }),
+)
+_REPORTS = st.fixed_dictionaries({
+    "command": st.lists(_TEXT, max_size=4),
+    "inputs": st.dictionaries(_TEXT, _TEXT, max_size=2),
+    "seed": st.integers(0, 2**64),
+    "version": _TEXT,
+    "results": _RESULTS,
+    "timestamp": _TEXT,
+})
+_UNDEFINED = {"entangled": False, "undefined": True, "cut_ranks": {}}
+_ONE_REGISTER = {
+    "command": ["superselect", "--json", "entangle"], "inputs": {}, "seed": 0, "version": "0", "timestamp": "",
+    "results": {"cuts": [], "packaged_entangled": {**_UNDEFINED, "predicate": "every-cut"},
+                "entangled_somewhere": {**_UNDEFINED, "predicate": "some-cut"}},
+}
+_LONG_SPECTRUM = {
+    **_ONE_REGISTER,
+    "results": {
+        **_ONE_REGISTER["results"],
+        "cuts": [{"cut": "{0}|{1}", "singular_values": [0.5, -0.0, 5e-324] * 3, "rank": 9, "entropy_nats": -0.0},
+                 {"cut": "\"\\\n\u00e9\u2028", "singular_values": [], "rank": 0, "entropy_nats": 5e-324}],
+    },
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    _REPORTS,
+    st.none() | st.tuples(st.sampled_from(["singular_values", "entropy_nats", "seed"]),
+                          st.sampled_from([math.inf, -math.inf, math.nan])),
+)
+@example(_ONE_REGISTER, None)
+@example(_LONG_SPECTRUM, None)
+@example(_LONG_SPECTRUM, ("singular_values", math.nan))
+def test_report_writer_emits_the_bytes_of_json_dumps(report, poison):
+    if poison is not None:  # one non-finite float, in a bulk row or elsewhere
+        where, value = poison
+        rows = report["results"].get("cuts")
+        if where == "seed" or not rows:
+            report["seed"] = value
+        elif where == "entropy_nats":
+            rows[-1]["entropy_nats"] = value
+        else:
+            rows[0]["singular_values"].append(value)
+    try:
+        expected = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as excinfo:
+            cli_module._report_json(report)
+        assert str(excinfo.value) == str(exc)
+        return
+    assert cli_module._report_json(report) == expected

@@ -6,13 +6,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import superselect.entangle as entangle_module
 from superselect.entangle import (
     Bipartition,
     CutPlan,
     DensityMatrix,
+    SchmidtResult,
     all_bipartitions,
     cut_spectra,
     entanglement_entropy,
@@ -246,6 +247,55 @@ def test_predicates_scan_cut_masks_without_building_a_cut(monkeypatch, registry,
         assert list(predicate(registry, vec).cut_ranks.items()) == list(want.items())
 
 
+# register counts whose cuts reach spectra of 8 and more values
+_REPORT_CASES = [
+    (electron_positron_registry(2), 4),
+    (electron_positron_registry(1), 8),
+    (color_toy_registry(), 4),
+    (dyon_registry(), 3),
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(range(len(_REPORT_CASES))), st.integers(0, 2**32 - 1), st.booleans())
+@example(0, 23, False)  # spectra of 8 to 16 kept values, which numpy sums in blocks of eight
+def test_cut_report_rows_equal_per_cut_schmidt_results_bitwise(case, seed, chosen):
+    registry, n = _REPORT_CASES[case]
+    rng = np.random.default_rng(seed)
+    vec = random_single_sector_state(rng, registry, n, product_bias=0.2)
+    every = all_bipartitions(n)
+    reported, lefts = every, None
+    if chosen:  # some cuts the other way round, some twice
+        picks = rng.choice(len(every), size=int(rng.integers(1, 2 * len(every))))
+        reported = [every[i] if rng.random() < 0.5 else Bipartition(every[i].right, every[i].left) for i in picks]
+        lefts = [cut.key() for cut in reported]
+    rows, strong, weak = entangle_module._cut_report(vec, entangle_module._cut_members(n), lefts)
+    assert len(rows) == len(reported)
+    for cut, row, expected in zip(reported, rows, cut_spectra(vec, reported)):
+        assert row["cut"] == str(cut)
+        assert row["singular_values"] == [float(v) for v in expected.singular_values]
+        assert row["rank"] == expected.rank
+        assert row["entropy_nats"].hex() == expected.entropy().hex()
+    assert strong == is_packaged_entangled(registry, vec).to_dict()
+    assert weak == is_entangled_somewhere(registry, vec).to_dict()
+
+
+@pytest.mark.parametrize("length", [1, 2, 7, 8, 9, 15, 16, 17, 40, 127, 128, 129, 136, 300])
+@pytest.mark.parametrize("rows", [1, 9])
+def test_grouped_entropies_equal_per_cut_entropies_bitwise(length, rows):
+    # rows keep different counts of values above the cutoff, so numpy's sum
+    # takes each of its orders, and the zeros after them pad the row
+    rng = np.random.default_rng(length * rows)
+    values = rng.random((rows, length)) * 10.0 ** rng.integers(-13, 1, (rows, length))
+    values[rng.random((rows, length)) < 0.1] = 0.0
+    values = np.sort(values, axis=1)[:, ::-1]
+    values[:, 0] = 1.0
+    values /= np.linalg.norm(values, axis=1)[:, None]
+    values = np.ascontiguousarray(values)
+    got = entangle_module._entropies(values)
+    assert [e.hex() for e in got] == [SchmidtResult(v).entropy().hex() for v in values]
+
+
 def test_schmidt_values_invariant_under_local_unitaries():
     rng = np.random.default_rng(29)
     reg = electron_positron_registry(2)
@@ -405,6 +455,7 @@ def test_every_cut_check_keeps_no_per_cut_state(monkeypatch):
     basis = sector_basis(electron_positron_registry(1), 10, SectorIndex((0,)))
     column = np.full((len(basis), 1), 1 / math.sqrt(len(basis)), dtype=complex)
     plan = CutPlan(basis, 10)
+    every_cut_entangled(plan, column)  # so modules numpy imports on first use are not counted
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]

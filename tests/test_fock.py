@@ -1,5 +1,8 @@
 """Basis enumeration, total charges, and sector membership."""
 
+import copy
+import pickle
+
 import pytest
 
 import superselect.fock as fock
@@ -258,3 +261,14 @@ def test_enumeration_size_guard_at_the_default_limit(monkeypatch):
 def test_sector_index_formatting():
     assert str(SectorIndex((-2,))) == "(-2)"
     assert str(SectorIndex((0, 1))) == "(0,1)"
+
+
+def test_basis_state_hash_is_the_dataclass_hash_and_stays_out_of_pickles():
+    for state in enumerate_basis(electron_positron_registry(2), 3):
+        before = pickle.dumps(state)
+        assert hash(state) == hash((state.labels,))  # the value the dataclass computes
+        assert hash(state) == hash((state.labels,))  # and again, from the stored one
+        assert pickle.dumps(state) == before
+        for again in (pickle.loads(before), copy.deepcopy(state), BasisState(state.labels)):
+            assert again == state and hash(again) == hash(state)
+    assert repr(B(("e-", 0))) == "BasisState(labels=(RegisterLabel(species_id='e-', spin=0),))"

@@ -19,7 +19,13 @@ from superselect.entangle import (
     schmidt,
 )
 from superselect.charges import ChargeVector, Species, SpeciesRegistry
-from superselect.errors import ConfigurationError, DomainError, ShapeError, SuperselectionError
+from superselect.errors import (
+    ConfigurationError,
+    DomainError,
+    ShapeError,
+    SuperselectionError,
+    UnknownSpeciesError,
+)
 from superselect.fock import (
     BasisState,
     enumerate_basis,
@@ -588,12 +594,25 @@ _ONE_LABEL = {"n": 1, "terms": [{"labels": [{"species": "e-", "spin": 0}], "re":
      "state field 'species' must be a string, got ['x']"),
     ({**_ONE_LABEL, "terms": [{"labels": [{"species": 5}], "re": 1.0}]},
      "state field 'species' must be a string, got 5"),
-], ids=["list-document", "str-document", "list-species", "int-species"])
+    # the loader makes one label per distinct (species, spin): a spin of true
+    # is refused even where an equal spin of 1 was read before
+    ({**_ONE_LABEL, "terms": [{"labels": [{"species": "e-", "spin": 1}], "re": 1.0},
+                              {"labels": [{"species": "e-", "spin": True}], "re": 1.0}]},
+     "state field 'spin' must be an integer, got True"),
+    # each distinct label is checked against the registry where it first appears
+    ({"n": 2, "terms": [{"labels": [{"species": "e-"}, {"species": "e-"}], "re": 1.0},
+                        {"labels": [{"species": "e+"}, {"species": "mu"}], "re": 1.0}]},
+     "unknown species id 'mu'"),
+    ({**_ONE_LABEL, "terms": [{"labels": [{"species": "e-"}], "re": 1.0},
+                              {"labels": [{"species": "mu"}, {"species": "e-"}], "re": 1.0}]},
+     "term has 2 labels but state declares n=1"),
+], ids=["list-document", "str-document", "list-species", "int-species",
+        "true-spin-after-one", "unknown-species-in-a-later-term", "label-count-before-species"])
 def test_state_loader_names_the_malformed_field(tmp_path, document, message):
     path = tmp_path / "state.json"
     path.write_text(json.dumps(document))
-    with pytest.raises(ConfigurationError) as excinfo:
-        load_state(str(path))
+    with pytest.raises((ConfigurationError, UnknownSpeciesError)) as excinfo:
+        load_state(str(path), registry=electron_positron_registry(2))
     assert str(excinfo.value) == message
 
 
