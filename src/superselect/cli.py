@@ -353,35 +353,17 @@ def _render_value(key, value, indent) -> list[str]:
     return [f"{pad}{key}: {value}"]
 
 
-def _with_members(value: dict, texts: dict[str, str], depth: int) -> str:
-    """``value``'s text ``depth`` levels deep in ``json.dumps(report,
-    indent=2, sort_keys=True, allow_nan=False)``, with each of ``texts``,
-    formatted for that depth, as the value of the member it names.
-
-    The rest goes through ``json.dumps``. It escapes every newline inside a
-    string, so each raw one starts an indented line, and only the members of
-    ``value`` itself start a line with exactly two spaces and a quote: that
-    finds each member's placeholder, in sorted key order.
-    """
-    rest = json.dumps({**value, **dict.fromkeys(texts, {})}, indent=2, sort_keys=True, allow_nan=False)
-    pad = "\n" + "  " * depth
-    parts = []
-    for key in sorted(texts):
-        placeholder = "\n  " + encode_basestring_ascii(key) + ": {}"
-        head, _, rest = rest.partition(placeholder)
-        parts += [(head + placeholder[:-2]).replace("\n", pad), texts[key]]
-    return "".join(parts) + rest.replace("\n", pad)
-
-
 def _report_json(report: dict) -> str:
     """``json.dumps(report, indent=2, sort_keys=True, allow_nan=False)``, with
     an ``entangle`` report's per-cut rows and ``cut_ranks`` maps formatted in bulk.
 
     Their schema is fixed, so their text is the one json's own encoder emits:
     strings through ``encode_basestring_ascii``, ints through ``int.__repr__``
-    and floats through ``float.__repr__``. Every other value goes through
-    ``json.dumps``. A non-finite float anywhere sends the whole report to
-    ``json.dumps``, so the ValueError is the one it raises.
+    and floats through ``float.__repr__``. The rest of the report is one
+    ``json.dumps`` with ``{}`` in their place; it escapes every newline inside
+    a string, so each placeholder is found at its depth, in sorted key order.
+    A non-finite float anywhere sends the whole report to ``json.dumps``, so
+    the ValueError is the one it raises.
     """
     results = report["results"]
     if results.keys() != {"cuts", "packaged_entangled", "entangled_somewhere"}:
@@ -391,29 +373,31 @@ def _report_json(report: dict) -> str:
         '\n      {\n        "cut": %s,\n        "entropy_nats": %s,\n        "rank": %s,'
         '\n        "singular_values": %s\n      }'
     )
-    try:
-        rows = []
-        for row in results["cuts"]:
-            values = ",\n          ".join(map(float.__repr__, row["singular_values"]))
-            entropy = float.__repr__(row["entropy_nats"])
-            if "n" in values or "n" in entropy:  # inf, -inf or nan
-                raise ValueError("a non-finite float")
-            rows.append(template % (
-                encode_basestring_ascii(row["cut"]),
-                entropy,
-                int.__repr__(row["rank"]),
-                "[\n          " + values + "\n        ]" if values else "[]",
-            ))
-        members = {"cuts": "[" + ",".join(rows) + "\n    ]" if rows else "[]"}
-        for key in ("packaged_entangled", "entangled_somewhere"):
-            ranks = sorted(results[key]["cut_ranks"].items())
-            text = "{" + ",".join(
-                "\n        " + encode_basestring_ascii(cut) + ": " + int.__repr__(rank) for cut, rank in ranks
-            ) + "\n      }" if ranks else "{}"
-            members[key] = _with_members(results[key], {"cut_ranks": text}, 2)
-        return _with_members(report, {"results": _with_members(results, members, 1)}, 0)
-    except ValueError:
-        return json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
+    rows = []
+    for row in results["cuts"]:
+        values = ",\n          ".join(map(float.__repr__, row["singular_values"]))
+        entropy = float.__repr__(row["entropy_nats"])
+        if "n" in values or "n" in entropy:  # inf, -inf or nan
+            return json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
+        rows.append(template % (
+            encode_basestring_ascii(row["cut"]),
+            entropy,
+            int.__repr__(row["rank"]),
+            "[\n          " + values + "\n        ]" if values else "[]",
+        ))
+    texts = ["[" + ",".join(rows) + "\n    ]" if rows else "[]"]
+    for key in ("entangled_somewhere", "packaged_entangled"):  # in the order json.dumps sorts them
+        ranks = sorted(results[key]["cut_ranks"].items())
+        texts.append("{" + ",".join(
+            "\n        " + encode_basestring_ascii(cut) + ": " + int.__repr__(rank) for cut, rank in ranks
+        ) + "\n      }" if ranks else "{}")
+    blank = {key: {**verdict, "cut_ranks": {}} for key, verdict in results.items() if key != "cuts"}
+    rest = json.dumps({**report, "results": {**blank, "cuts": {}}}, indent=2, sort_keys=True, allow_nan=False)
+    parts = []
+    for placeholder in ('\n    "cuts": {}', '\n      "cut_ranks": {}', '\n      "cut_ranks": {}'):
+        head, _, rest = rest.partition(placeholder)
+        parts.append(head + placeholder[:-2])
+    return "".join(part + text for part, text in zip(parts, texts)) + rest
 
 
 def main(argv=None) -> int:

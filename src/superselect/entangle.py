@@ -375,38 +375,19 @@ def _entropies(values: np.ndarray) -> list[float]:
     """``SchmidtResult.entropy`` of each row of (cuts, m) stacked singular
     values, bit for bit.
 
-    ``np.sum`` of k <= 128 terms adds them in a fixed order: below 8 one by
-    one; else eight running sums, one per position mod 8, over the k // 8
-    whole blocks of eight, joined pairwise as ((0+1)+(2+3))+((4+5)+(6+7)),
-    then the rest one by one. Rows are summed in that order, in groups of
-    one block count. A row's kept values lead it, so the zeros that pad the
-    rest add nothing. A lone row, or one that keeps more than 128 (whose sum
-    numpy splits recursively), takes its own ``SchmidtResult``.
+    ``np.sum`` adds fewer than 8 terms one by one, left to right, as a
+    cumulative sum along the row does; a row's kept values lead it, so the
+    zeros that pad the rest add nothing. A row that keeps 8 or more, which
+    numpy sums in another order, takes its own ``SchmidtResult``.
     """
-    if len(values) == 1:
-        return [SchmidtResult(values[0]).entropy()]
     lam = values**2
     # the cutoff as entropy() squares it: a scalar power, which may round unlike x * x
     cutoff = [(RANK_REL_TOL * top) ** 2 for top in values[:, 0].tolist()]
     keep = lam > np.array(cutoff)[:, None]
-    terms = lam * np.log(np.where(keep, lam, 1.0))
-    kept = keep.sum(axis=1).tolist()
-    blocks = [min(k, 129) // 8 for k in kept]  # 16 whole blocks is the most the fixed order covers
-    distinct = set(blocks)
-    total = np.empty(len(values))
-    for b in distinct:
-        rows = [i for i, c in enumerate(blocks) if c == b] if len(distinct) > 1 else slice(None)
-        part = terms[rows]
-        if b:
-            r = part[:, :8].copy()
-            for j in range(1, b):
-                r += part[:, 8 * j:8 * j + 8]
-            head = ((r[:, 0] + r[:, 1]) + (r[:, 2] + r[:, 3])) + ((r[:, 4] + r[:, 5]) + (r[:, 6] + r[:, 7]))
-            part = np.column_stack([head, part[:, 8 * b:]])
-        total[rows] = np.cumsum(part, axis=1)[:, -1]  # one by one, left to right
+    total = np.cumsum(lam * np.log(np.where(keep, lam, 1.0)), axis=1)[:, -1]
     entropies = [max(0.0, -t) for t in total.tolist()]
-    for i, k in enumerate(kept):
-        if k > 128:
+    if values.shape[1] >= 8:  # a row keeps its eighth value iff it keeps 8 or more
+        for i in np.flatnonzero(keep[:, 7]).tolist():
             entropies[i] = SchmidtResult(values[i]).entropy()
     return entropies
 

@@ -587,32 +587,32 @@ def test_state_document_validation():
 _ONE_LABEL = {"n": 1, "terms": [{"labels": [{"species": "e-", "spin": 0}], "re": 1.0, "im": 0.0}]}
 
 
-@pytest.mark.parametrize("document, message", [
-    ([_ONE_LABEL], "state document must be an object, got list"),
-    ("e-", "state document must be an object, got str"),
+@pytest.mark.parametrize("document, message, registry, error", [
+    ([_ONE_LABEL], "state document must be an object, got list", None, ConfigurationError),
+    ("e-", "state document must be an object, got str", None, ConfigurationError),
     ({**_ONE_LABEL, "terms": [{"labels": [{"species": ["x"]}], "re": 1.0}]},
-     "state field 'species' must be a string, got ['x']"),
+     "state field 'species' must be a string, got ['x']", None, ConfigurationError),
     ({**_ONE_LABEL, "terms": [{"labels": [{"species": 5}], "re": 1.0}]},
-     "state field 'species' must be a string, got 5"),
+     "state field 'species' must be a string, got 5", None, ConfigurationError),
     # the loader makes one label per distinct (species, spin): a spin of true
     # is refused even where an equal spin of 1 was read before
     ({**_ONE_LABEL, "terms": [{"labels": [{"species": "e-", "spin": 1}], "re": 1.0},
                               {"labels": [{"species": "e-", "spin": True}], "re": 1.0}]},
-     "state field 'spin' must be an integer, got True"),
+     "state field 'spin' must be an integer, got True", None, ConfigurationError),
     # each distinct label is checked against the registry where it first appears
     ({"n": 2, "terms": [{"labels": [{"species": "e-"}, {"species": "e-"}], "re": 1.0},
                         {"labels": [{"species": "e+"}, {"species": "mu"}], "re": 1.0}]},
-     "unknown species id 'mu'"),
+     "unknown species id 'mu'", "ep", UnknownSpeciesError),
     ({**_ONE_LABEL, "terms": [{"labels": [{"species": "e-"}], "re": 1.0},
                               {"labels": [{"species": "mu"}, {"species": "e-"}], "re": 1.0}]},
-     "term has 2 labels but state declares n=1"),
+     "term has 2 labels but state declares n=1", "ep", ConfigurationError),
 ], ids=["list-document", "str-document", "list-species", "int-species",
         "true-spin-after-one", "unknown-species-in-a-later-term", "label-count-before-species"])
-def test_state_loader_names_the_malformed_field(tmp_path, document, message):
+def test_state_loader_names_the_malformed_field(tmp_path, document, message, registry, error):
     path = tmp_path / "state.json"
     path.write_text(json.dumps(document))
-    with pytest.raises((ConfigurationError, UnknownSpeciesError)) as excinfo:
-        load_state(str(path), registry=electron_positron_registry(2))
+    with pytest.raises(error) as excinfo:
+        load_state(str(path), registry=electron_positron_registry(2) if registry else None)
     assert str(excinfo.value) == message
 
 
