@@ -9,6 +9,7 @@ membership is decidable without tolerances.
 
 from __future__ import annotations
 
+import io
 import json
 from dataclasses import dataclass
 
@@ -259,11 +260,30 @@ def save_registry(registry: SpeciesRegistry, path: str) -> None:
         fh.write(json.dumps(registry.to_dict(), indent=2, sort_keys=True) + "\n")
 
 
-def load_registry(path: str) -> SpeciesRegistry:
-    """Read a registry file; any ``validate_registry`` violation refuses it."""
-    with open(path, "r", encoding="utf-8") as fh:
-        registry = SpeciesRegistry.from_dict(json.load(fh))
+def json_document(data: bytes, path: str):
+    """The document ``json.load`` reads from the file at ``path`` opened as
+    UTF-8 text, given the file's bytes. The text is decoded as ``open`` decodes
+    it, universal newlines included, so a decode error names the same place.
+    Bytes that are not UTF-8 are refused with a message naming ``path``.
+    """
+    try:
+        text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"{path} is not UTF-8 text: {exc}") from None
+    return json.loads(text)
+
+
+def registry_from_bytes(data: bytes, path: str) -> SpeciesRegistry:
+    """``load_registry`` for a file already read: ``data`` is its bytes."""
+    registry = SpeciesRegistry.from_dict(json_document(data, path))
     violations = validate_registry(registry)
     if violations:
         raise ConfigurationError(f"invalid registry {path}: {'; '.join(violations)}")
     return registry
+
+
+def load_registry(path: str) -> SpeciesRegistry:
+    """Read a registry file; any ``validate_registry`` violation refuses it."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    return registry_from_bytes(data, path)

@@ -14,7 +14,7 @@ from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .builder import build_packaged_entangled_basis, check_basis
-from .charges import load_registry
+from .charges import registry_from_bytes
 from .entangle import (
     Bipartition,
     _cut_members,
@@ -32,11 +32,11 @@ from .states import (
     apply_u1_gauge,
     charge_conjugate,
     inner_product,
-    load_state,
     max_term_deviation,
     require_normalized,
     require_single_sector,
     save_state,
+    state_from_bytes,
     state_to_dict,
     superpose,
     validate_superselection,
@@ -63,11 +63,6 @@ def _mark(ok: bool) -> str:
     if not _color_enabled():
         return text
     return f"\x1b[32m{text}\x1b[0m" if ok else f"\x1b[31m{text}\x1b[0m"
-
-
-def _digest(path: str) -> str:
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
 
 
 def _parse_charge(text: str) -> tuple[int, ...]:
@@ -105,9 +100,14 @@ def _close(a, b, tol=1e-9) -> bool:
     return abs(a - b) <= tol
 
 
+def _registry(args):
+    return registry_from_bytes(args.input_bytes[args.registry], args.registry)
+
+
 def _load(args):
-    registry = load_registry(args.registry)
-    return registry, load_state(args.state, registry=registry, renormalize=args.normalize)
+    registry = _registry(args)
+    data = args.input_bytes[args.state]
+    return registry, state_from_bytes(data, args.state, registry=registry, renormalize=args.normalize)
 
 
 def _row(prop: str, expected, computed, ok: bool) -> dict:
@@ -195,7 +195,7 @@ def _run_validate(args) -> tuple[int, dict]:
 
 
 def _run_basis(args) -> tuple[int, dict]:
-    registry = load_registry(args.registry)
+    registry = _registry(args)
     sector = SectorIndex(_parse_charge(args.charge))
     basis = build_packaged_entangled_basis(registry, args.registers, sector, seed=args.seed)
     os.makedirs(args.out, exist_ok=True)
@@ -313,13 +313,16 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _input_digests(args) -> dict:
-    digests = {}
+def _read_inputs(args) -> dict[str, bytes]:
+    """The bytes of each ``--registry`` and ``--state`` file, read once: the
+    report's digests and the handlers' parsing both use them."""
+    data = {}
     for attr in ("registry", "state"):
         path = getattr(args, attr, None)
-        if path:
-            digests[path] = _digest(path)
-    return digests
+        if path is not None and path not in data:
+            with open(path, "rb") as fh:
+                data[path] = fh.read()
+    return data
 
 
 def _render_text(report: dict, code: int) -> str:
@@ -405,7 +408,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        inputs = _input_digests(args)
+        args.input_bytes = _read_inputs(args)
         code, results = args.handler(args)
     except SuperselectionError as exc:
         print(f"superselect: superselection violation: {exc}", file=sys.stderr)
@@ -415,7 +418,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     report = {
         "command": ["superselect"] + argv,
-        "inputs": inputs,
+        "inputs": {path: hashlib.sha256(data).hexdigest() for path, data in args.input_bytes.items()},
         "seed": args.seed,
         "version": __version__,
         "results": results,

@@ -28,6 +28,19 @@ class RegisterLabel:
 
     species_id: str
     spin: int = 0
+    _hash = None  # not a field: the first __hash__ call stores the hash here
+
+    def __hash__(self) -> int:
+        # the value the dataclass would compute on every call, computed once
+        h = self._hash
+        if h is None:
+            h = hash((self.species_id, self.spin))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    def __reduce__(self):
+        # rebuilt from the fields, so a pickle never carries this process's string hash
+        return RegisterLabel, (self.species_id, self.spin)
 
 
 @dataclass(frozen=True, order=True)

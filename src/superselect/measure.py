@@ -97,9 +97,9 @@ def _branches(registry: SpeciesRegistry, vec: StateVector, obs: SpinObservable):
     """
     require_normalized(vec)
     require_single_sector(registry, vec)
-    r = obs.register
-    if not 0 <= r < vec.n:
-        raise DomainError(f"register {r} out of range for n={vec.n}")
+    n, r = vec.n, obs.register  # post_state reads n, not vec: the vector keeps its result
+    if not 0 <= r < n:
+        raise DomainError(f"register {r} out of range for n={n}")
     outcomes = obs.outcome_count()
 
     blocks: dict[str, tuple] = {}  # species -> rows, conjugated rows, m, diagonal?
@@ -140,7 +140,7 @@ def _branches(registry: SpeciesRegistry, vec: StateVector, obs: SpinObservable):
             pairs.append((state, amp))
         # normalize(branch) without building the branch first: the kept pairs
         # are the branch's terms in order, and ``norm`` is its norm()
-        return scale_pairs(1.0 / norm, pairs, vec.n)
+        return scale_pairs(1.0 / norm, pairs, n)
 
     branches = []
     for outcome in range(outcomes):
@@ -164,6 +164,42 @@ def _branches(registry: SpeciesRegistry, vec: StateVector, obs: SpinObservable):
     return branches
 
 
+def _distribution(registry: SpeciesRegistry, vec: StateVector, obs: SpinObservable):
+    """``vec``'s Born distribution under ``obs``: ``(branches, edges, built)``.
+
+    ``branches`` is ``_branches``' list, ``edges`` the running sums of its
+    probabilities and ``built`` the post states made so far, by branch index.
+    All three are kept on the vector (its one-entry ``_born`` slot), under a
+    key that snapshots everything ``_branches`` reads besides the immutable
+    vector: the registry's charge specs and species-by-id table, and the
+    observable's register and basis bits. Registry lists and observable
+    arrays can change in place, so the key is compared on every call, and an
+    unequal key recomputes. A call that raises stores nothing. The entry
+    holds no reference back to its vector, so it dies with it.
+    """
+    bases = ((sid, np.asarray(mat)) for sid, mat in obs.bases.items())
+    key = (
+        tuple(registry.charge_specs),
+        tuple(registry._by_id.items()),
+        obs.register,
+        tuple((sid, mat.shape, mat.dtype, mat.tobytes()) for sid, mat in bases),
+    )
+    born = vec._born
+    if born is None or born[0] != key:
+        branches = _branches(registry, vec, obs)
+        edges = list(accumulate(prob for _, prob, _ in branches))
+        born = vec._born = (key, branches, edges, [None] * len(branches))
+    return born[1:]
+
+
+def _post_state(branches, built, idx: int) -> StateVector:
+    """Branch ``idx``'s post state, made on first use and then shared."""
+    post = built[idx]
+    if post is None:
+        post = built[idx] = branches[idx][2]()
+    return post
+
+
 def measure_spin(
     registry: SpeciesRegistry, vec: StateVector, obs: SpinObservable
 ) -> list[MeasurementRecord]:
@@ -174,9 +210,10 @@ def measure_spin(
     renormalized and stays in the input's sector exactly (projection never
     touches species labels).
     """
+    branches, _, built = _distribution(registry, vec, obs)
     return [
-        MeasurementRecord(outcome=outcome, probability=prob, post_state=post_state())
-        for outcome, prob, post_state in _branches(registry, vec, obs)
+        MeasurementRecord(outcome=outcome, probability=prob, post_state=_post_state(branches, built, idx))
+        for idx, (outcome, prob, _) in enumerate(branches)
     ]
 
 
@@ -185,22 +222,20 @@ def sample_measurements(
 ) -> list[MeasurementRecord]:
     """One record per seed, drawn from the measure_spin distribution.
 
-    The state is admitted and the distribution computed once for all seeds;
-    only the drawn branches are normalized, each once. Seed ``s`` draws
+    The distribution is the one kept on the vector, and each drawn branch is
+    normalized once per distribution. Seed ``s`` draws
     ``u = default_rng(s).random() * total`` against the running sums of the
     probabilities and takes the first outcome whose sum exceeds ``u``.
     """
-    branches = _branches(registry, vec, obs)
-    edges = list(accumulate(prob for _, prob, _ in branches))
-    built: dict[int, StateVector] = {}
+    branches, edges, built = _distribution(registry, vec, obs)
     records = []
     for seed in seeds:
         u = np.random.default_rng(seed).random() * edges[-1]
         idx = min(bisect_right(edges, u), len(branches) - 1)
-        outcome, prob, post_state = branches[idx]
-        if idx not in built:
-            built[idx] = post_state()
-        records.append(MeasurementRecord(outcome=outcome, probability=prob, post_state=built[idx]))
+        outcome, prob, _ = branches[idx]
+        records.append(
+            MeasurementRecord(outcome=outcome, probability=prob, post_state=_post_state(branches, built, idx))
+        )
     return records
 
 

@@ -14,7 +14,6 @@ entry point goes through.
 from __future__ import annotations
 
 import cmath
-import json
 import math
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
@@ -22,7 +21,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .charges import GAUGED, SpeciesRegistry
+from .charges import GAUGED, SpeciesRegistry, json_document
 from .errors import ConfigurationError, DomainError, ShapeError, SuperselectionError
 from .fock import BasisState, RegisterLabel, SectorIndex, SpeciesTable, validate_label
 
@@ -46,7 +45,8 @@ class StateVector:
         otherwise inferred and cross-checked against every key.
     """
 
-    __slots__ = ("_terms", "n")
+    # _born: the measure module's memo of this vector's Born distribution
+    __slots__ = ("_terms", "n", "_born")
 
     def __init__(self, terms, n: int | None = None):
         self._fill(terms.items(), n)
@@ -81,6 +81,11 @@ class StateVector:
             raise ShapeError("register count is undefined for an empty term map; pass n")
         self._terms = pruned
         self.n = n
+        self._born = None
+
+    def __reduce__(self):
+        # rebuilt from the terms, so neither a pickle nor a copy carries the memo
+        return StateVector, (self._terms, self.n)
 
     @property
     def terms(self):
@@ -481,9 +486,17 @@ def save_state(vec: StateVector, path: str) -> None:
         fh.write(text)
 
 
+def state_from_bytes(
+    data: bytes, path: str, registry: SpeciesRegistry | None = None, renormalize: bool = False
+) -> StateVector:
+    """``load_state`` for a file already read: ``data`` is its bytes."""
+    vec = state_from_dict(json_document(data, path), registry=registry)
+    return normalize(vec) if renormalize else vec
+
+
 def load_state(
     path: str, registry: SpeciesRegistry | None = None, renormalize: bool = False
 ) -> StateVector:
-    with open(path, "r", encoding="utf-8") as fh:
-        vec = state_from_dict(json.load(fh), registry=registry)
-    return normalize(vec) if renormalize else vec
+    with open(path, "rb") as fh:
+        data = fh.read()
+    return state_from_bytes(data, path, registry, renormalize)

@@ -1,5 +1,7 @@
 """Command-line behavior: subcommands, exit codes, report reproducibility."""
 
+import builtins
+import hashlib
 import json
 import math
 import os
@@ -428,6 +430,43 @@ def test_missing_file_exits_1(capsys, workdir):
         "--state", str(workdir / "nope.json"),
     )
     assert code == 1 and "nope.json" in err
+
+
+@pytest.mark.parametrize("bad_input", ["registry", "state"])
+def test_non_utf8_input_exits_1_with_one_line_naming_the_file(capsys, workdir, bad_input):
+    bad = workdir / "bad.json"
+    bad.write_bytes(b"\xff\xfe{")
+    paths = {"registry": str(workdir / "ep.json"), "state": str(workdir / "bell_plus.json")}
+    paths[bad_input] = str(bad)
+    code, out, err = run(capsys, "validate", "--registry", paths["registry"], "--state", paths["state"])
+    assert code == 1 and out == ""
+    assert err == (
+        f"superselect: error: {bad} is not UTF-8 text: "
+        "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n"
+    )
+
+
+@pytest.mark.parametrize("argv", [
+    ("validate",), ("entangle",), ("measure", "--register", "0", "--sample"), ("conjugate",),
+])
+def test_each_input_file_is_read_once_and_hashed_from_those_bytes(capsys, workdir, monkeypatch, argv):
+    registry, state = str(workdir / "ep.json"), str(workdir / "bell_plus.json")
+    digests = {}
+    for path in (registry, state):
+        with open(path, "rb") as fh:
+            digests[path] = hashlib.sha256(fh.read()).hexdigest()
+    opened = []
+    real_open = builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(os.fspath(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    code, out, _ = run(capsys, "--json", argv[0], "--registry", registry, "--state", state, *argv[1:])
+    assert code == 0
+    assert sorted(opened) == sorted([registry, state])
+    assert json.loads(out)["inputs"] == digests
 
 
 def test_schema_violation_names_the_field(capsys, workdir):

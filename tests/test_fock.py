@@ -271,4 +271,11 @@ def test_basis_state_hash_is_the_dataclass_hash_and_stays_out_of_pickles():
         assert pickle.dumps(state) == before
         for again in (pickle.loads(before), copy.deepcopy(state), BasisState(state.labels)):
             assert again == state and hash(again) == hash(state)
+    for label in fock.register_alphabet(electron_positron_registry(2)):
+        before = pickle.dumps(label)
+        assert hash(label) == hash((label.species_id, label.spin))  # the dataclass's value
+        assert hash(label) == hash((label.species_id, label.spin))  # and again, from the stored one
+        assert pickle.dumps(label) == before
+        for again in (pickle.loads(before), copy.deepcopy(label), RegisterLabel(label.species_id, label.spin)):
+            assert again == label and hash(again) == hash(label)
     assert repr(B(("e-", 0))) == "BasisState(labels=(RegisterLabel(species_id='e-', spin=0),))"

@@ -1,6 +1,9 @@
 """Projective spin measurement, collapse, and seeded sampling."""
 
+import copy
+import gc
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -15,6 +18,7 @@ from helpers import (
     reference_sample_measurement,
     two_family_registry,
 )
+from superselect.charges import GAUGED, ChargeComponentSpec, ChargeVector, Species, SpeciesRegistry
 from superselect.entangle import all_bipartitions, schmidt
 from superselect.errors import (
     ConfigurationError,
@@ -239,11 +243,15 @@ def test_distribution_sums_to_one_and_post_states_stay_in_sector(case):
 @given(measured_states(), st.lists(st.integers(0, 2**31 - 1), min_size=1, max_size=6))
 def test_sample_measurements_equal_single_draws_and_the_reference(case, seeds):
     registry, _, vec, obs = case
-    batch = sample_measurements(registry, vec, obs, seeds)
     singles = [sample_measurement(registry, vec, obs, s) for s in seeds]
-    assert batch == singles
     want = [reference_sample_measurement(registry, vec, obs, s) for s in seeds]
-    assert [record_bits(r) for r in batch] == [record_bits(r) for r in want]
+    assert [record_bits(r) for r in singles] == [record_bits(r) for r in want]
+    batch = sample_measurements(registry, vec, obs, seeds)
+    assert batch == singles
+    # the distribution is kept on the vector, so every call shares each outcome's post state
+    posts = {}
+    for record in singles + batch + measure_spin(registry, vec, obs):
+        assert posts.setdefault(record.outcome, record.post_state) is record.post_state
 
 
 def test_branches_just_above_the_prune_tolerance_are_kept():
@@ -307,9 +315,11 @@ def _error_cases():
 def test_measurement_errors_match_the_reference(case):
     reg, vec, obs = _error_cases()[case]
     want = _raised(reference_measure_spin, reg, vec, obs)
-    assert _raised(measure_spin, reg, vec, obs) == want
-    assert _raised(sample_measurement, reg, vec, obs, 0) == want
-    assert _raised(sample_measurements, reg, vec, obs, [0, 1]) == want
+    for _ in range(2):  # a refused call keeps nothing on the vector, so it is refused again
+        assert _raised(measure_spin, reg, vec, obs) == want
+        assert _raised(sample_measurement, reg, vec, obs, 0) == want
+        assert _raised(sample_measurements, reg, vec, obs, [0, 1]) == want
+        assert vec._born is None
     assert want[0] in (DomainError, SuperselectionError, ConfigurationError, UnknownSpeciesError)
 
 
@@ -347,3 +357,113 @@ def test_observable_with_an_empty_basis_names_the_species(hybrid_third):
     bases = {"e-": np.eye(2), "e+": np.zeros((0, 0))}
     with pytest.raises(ConfigurationError, match=r"spin basis for 'e\+' is empty \(0x0\)"):
         measure_spin(reg, state, SpinObservable(register=0, bases=bases))
+
+
+# -- the Born distribution kept on the vector -------------------------------------
+
+def _results(measure, sample, registry, vec, obs):
+    """What a distribution and three single shots give, as bits, or the error."""
+    try:
+        records = measure(registry, vec, obs) + [sample(registry, vec, obs, seed) for seed in (0, 1, 2)]
+    except Exception as exc:
+        return type(exc), str(exc)
+    return [record_bits(r) for r in records]
+
+
+def _kept(registry, vec, obs):
+    return _results(measure_spin, sample_measurement, registry, vec, obs)
+
+
+def _reference(registry, vec, obs):
+    return _results(reference_measure_spin, reference_sample_measurement, registry, vec, obs)
+
+
+def _edit_basis_in_place(registry, obs):
+    obs.bases["e-"][:] = np.array([[1.0, 1.0], [1.0, -1.0]]) * ROOT_HALF
+    return registry
+
+
+def _reassign_register(registry, obs):
+    obs.register = 1
+    return registry
+
+
+def _append_charge_spec(registry, obs):
+    registry.charge_specs.append(ChargeComponentSpec("lepton", GAUGED))  # now every species' arity is short
+    return registry
+
+
+def _other_registry(registry, obs):
+    # the w pair carries charge 2, so the measured state straddles two sectors
+    return SpeciesRegistry(
+        list(registry.charge_specs),
+        [
+            s if s.id[0] != "w" else Species(s.id, ChargeVector((2 if s.id == "w+" else -2,)), 3, s.conjugate_id)
+            for s in registry.species
+        ],
+    )
+
+
+@pytest.mark.parametrize(
+    "change", [_edit_basis_in_place, _reassign_register, _append_charge_spec, _other_registry]
+)
+def test_a_changed_registry_or_observable_is_never_answered_from_the_kept_distribution(change):
+    registry = mixed_spin_registry()
+    vec = StateVector({
+        B(("e-", 0), ("w+", 1)): math.sqrt(1 / 3),
+        B(("w-", 2), ("e+", 1)): math.sqrt(1 / 6),
+        B(("e-", 1), ("w+", 0)): math.sqrt(1 / 2),
+    })
+    obs = spin_z_observable(registry, 0)
+    before = _kept(registry, vec, obs)
+    assert before == _reference(registry, vec, obs)
+    assert vec._born is not None
+    registry = change(registry, obs)
+    after = _kept(registry, vec, obs)
+    assert after == _reference(registry, vec, obs)
+    assert after != before
+
+
+def test_two_observables_used_in_turn_on_one_vector_both_give_the_reference():
+    registry = mixed_spin_registry()
+    rng = np.random.default_rng(5)
+    basis = sector_basis(registry, 3, SectorIndex((0,)))
+    picks = rng.choice(len(basis), size=8, replace=False)
+    amps = rng.normal(size=8) + 1j * rng.normal(size=8)
+    vec = StateVector({basis[i]: a for i, a in zip(picks, amps / np.linalg.norm(amps))})
+    observables = [spin_z_observable(registry, 0), haar_observable(rng, registry, 2)]
+    want = [_reference(registry, vec, obs) for obs in observables]
+    for _ in range(3):
+        assert [_kept(registry, vec, obs) for obs in observables] == want
+
+
+def test_sampled_vector_pickles_and_copies_without_its_distribution(hybrid_third):
+    reg, state, _ = hybrid_third
+    sampled, unsampled = StateVector(state.terms), StateVector(state.terms)
+    sample_measurement(reg, sampled, spin_z_observable(reg, 0), 3)
+    assert sampled._born is not None
+    assert pickle.dumps(sampled) == pickle.dumps(unsampled)
+    for again in (copy.copy(sampled), copy.deepcopy(sampled), pickle.loads(pickle.dumps(sampled))):
+        assert again == sampled and again is not sampled
+        assert again._born is None
+
+
+def test_sampled_vectors_are_freed_without_the_cycle_collector():
+    registry = mixed_spin_registry()
+    rng = np.random.default_rng(11)
+    basis = sector_basis(registry, 3, SectorIndex((0,)))
+    obs = haar_observable(rng, registry, 1)
+    amps = [rng.normal(size=6) + 1j * rng.normal(size=6) for _ in range(50)]
+    picks = [rng.choice(len(basis), size=6, replace=False) for _ in range(50)]
+    gc.collect()
+    gc.disable()
+    try:
+        for seed, (p, a) in enumerate(zip(picks, amps)):
+            vec = StateVector({basis[i]: x for i, x in zip(p, a / np.linalg.norm(a))})
+            measure_spin(registry, vec, obs)
+            sample_measurement(registry, vec, obs, seed)
+            assert vec._born is not None
+        del vec
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

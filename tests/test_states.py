@@ -3,6 +3,7 @@
 import cmath
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from superselect.entangle import (
     is_packaged_entangled,
     schmidt,
 )
-from superselect.charges import ChargeVector, Species, SpeciesRegistry
+from superselect.charges import ChargeVector, Species, SpeciesRegistry, load_registry
 from superselect.errors import (
     ConfigurationError,
     DomainError,
@@ -659,3 +660,28 @@ def test_coordinate_matrix_stacks_coordinates(bell_pair):
 def test_normalize_zero_state_rejected():
     with pytest.raises(DomainError):
         normalize(StateVector({}, n=2))
+
+
+@pytest.mark.parametrize("load", [load_registry, load_state])
+def test_loaders_refuse_non_utf8_bytes_naming_the_file(tmp_path, load):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"n": 1, "terms": [], "note": "\u00e9"}'.encode("latin-1"))
+    with pytest.raises(ConfigurationError, match=rf"^{re.escape(str(path))} is not UTF-8 text: "):
+        load(str(path))
+
+
+@pytest.mark.parametrize("load", [load_registry, load_state])
+@pytest.mark.parametrize("text", [
+    '{\r\n  "n": 1,\r\n  "terms": [\r\n    x\r\n  ]\r\n}',  # CRLF line ends
+    '{\r  "n": 1,\r  "terms": [\r "a\rb" ]\r}',  # bare CR, one inside a string
+    '\ufeff{"n": 1}',  # a byte order mark, which json refuses
+])
+def test_loaders_parse_bytes_as_json_load_parses_the_text_file(tmp_path, load, text):
+    path = tmp_path / "doc.json"
+    path.write_bytes(text.encode("utf-8"))
+    with open(path, encoding="utf-8") as fh:
+        with pytest.raises(ValueError) as want:
+            json.load(fh)
+    with pytest.raises(ValueError) as got:
+        load(str(path))
+    assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
