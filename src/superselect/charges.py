@@ -264,13 +264,17 @@ def json_document(data: bytes, path: str):
     """The document ``json.load`` reads from the file at ``path`` opened as
     UTF-8 text, given the file's bytes. The text is decoded as ``open`` decodes
     it, universal newlines included, so a decode error names the same place.
-    Bytes that are not UTF-8 are refused with a message naming ``path``.
+    Bytes that are not UTF-8, or text that is not JSON, are refused with a
+    message naming ``path``.
     """
     try:
         text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
     except UnicodeDecodeError as exc:
         raise ConfigurationError(f"{path} is not UTF-8 text: {exc}") from None
-    return json.loads(text)
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:  # also an integer past the digit limit, or nesting too deep
+        raise ConfigurationError(f"{path} is not valid JSON: {exc}") from None
 
 
 def registry_from_bytes(data: bytes, path: str) -> SpeciesRegistry:

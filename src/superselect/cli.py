@@ -413,7 +413,7 @@ def main(argv=None) -> int:
     except SuperselectionError as exc:
         print(f"superselect: superselection violation: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
-    except (SimulatorError, OSError, json.JSONDecodeError) as exc:
+    except (SimulatorError, OSError) as exc:
         print(f"superselect: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     report = {

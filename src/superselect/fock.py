@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .charges import ChargeVector, Species, SpeciesRegistry
 from .errors import ConfigurationError, DomainError
@@ -22,45 +23,17 @@ from .errors import ConfigurationError, DomainError
 MAX_PRODUCT_STATES = 2**20
 
 
-@dataclass(frozen=True, order=True)
-class RegisterLabel:
+class RegisterLabel(NamedTuple):
     """One register's content: a species id plus a spin index below its multiplicity."""
 
     species_id: str
     spin: int = 0
-    _hash = None  # not a field: the first __hash__ call stores the hash here
-
-    def __hash__(self) -> int:
-        # the value the dataclass would compute on every call, computed once
-        h = self._hash
-        if h is None:
-            h = hash((self.species_id, self.spin))
-            object.__setattr__(self, "_hash", h)
-        return h
-
-    def __reduce__(self):
-        # rebuilt from the fields, so a pickle never carries this process's string hash
-        return RegisterLabel, (self.species_id, self.spin)
 
 
-@dataclass(frozen=True, order=True)
-class BasisState:
+class BasisState(NamedTuple):
     """A multi-particle product state: one RegisterLabel per register, order-identifying."""
 
     labels: tuple[RegisterLabel, ...]
-    _hash = None  # not a field: the first __hash__ call stores the hash here
-
-    def __hash__(self) -> int:
-        # the value the dataclass would compute on every call, computed once
-        h = self._hash
-        if h is None:
-            h = hash((self.labels,))
-            object.__setattr__(self, "_hash", h)
-        return h
-
-    def __reduce__(self):
-        # rebuilt from the labels, so a pickle never carries this process's string hashes
-        return BasisState, (self.labels,)
 
     @property
     def n(self) -> int:

@@ -446,6 +446,20 @@ def test_non_utf8_input_exits_1_with_one_line_naming_the_file(capsys, workdir, b
     )
 
 
+@pytest.mark.parametrize("bad_input", ["registry", "state"])
+def test_malformed_json_input_exits_1_with_one_line_naming_the_file(capsys, workdir, bad_input):
+    bad = workdir / "trunc.json"
+    bad.write_bytes(b'{"n": 1,')
+    paths = {"registry": str(workdir / "ep.json"), "state": str(workdir / "bell_plus.json")}
+    paths[bad_input] = str(bad)
+    code, out, err = run(capsys, "validate", "--registry", paths["registry"], "--state", paths["state"])
+    assert code == 1 and out == ""
+    assert err == (
+        f"superselect: error: {bad} is not valid JSON: "
+        "Expecting property name enclosed in double quotes: line 1 column 9 (char 8)\n"
+    )
+
+
 @pytest.mark.parametrize("argv", [
     ("validate",), ("entangle",), ("measure", "--register", "0", "--sample"), ("conjugate",),
 ])

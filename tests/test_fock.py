@@ -1,7 +1,10 @@
 """Basis enumeration, total charges, and sector membership."""
 
 import copy
+import os
 import pickle
+import subprocess
+import sys
 
 import pytest
 
@@ -263,19 +266,70 @@ def test_sector_index_formatting():
     assert str(SectorIndex((0, 1))) == "(0,1)"
 
 
-def test_basis_state_hash_is_the_dataclass_hash_and_stays_out_of_pickles():
+def test_basis_state_hash_is_the_field_tuple_hash_and_stays_out_of_pickles():
     for state in enumerate_basis(electron_positron_registry(2), 3):
         before = pickle.dumps(state)
-        assert hash(state) == hash((state.labels,))  # the value the dataclass computes
-        assert hash(state) == hash((state.labels,))  # and again, from the stored one
+        assert hash(state) == hash((state.labels,))  # the hash of the field tuple
+        assert hash(state) == hash((state.labels,))  # and again, the same
         assert pickle.dumps(state) == before
         for again in (pickle.loads(before), copy.deepcopy(state), BasisState(state.labels)):
             assert again == state and hash(again) == hash(state)
     for label in fock.register_alphabet(electron_positron_registry(2)):
         before = pickle.dumps(label)
-        assert hash(label) == hash((label.species_id, label.spin))  # the dataclass's value
-        assert hash(label) == hash((label.species_id, label.spin))  # and again, from the stored one
+        assert hash(label) == hash((label.species_id, label.spin))  # the hash of the field tuple
+        assert hash(label) == hash((label.species_id, label.spin))  # and again, the same
         assert pickle.dumps(label) == before
         for again in (pickle.loads(before), copy.deepcopy(label), RegisterLabel(label.species_id, label.spin)):
             assert again == label and hash(again) == hash(label)
     assert repr(B(("e-", 0))) == "BasisState(labels=(RegisterLabel(species_id='e-', spin=0),))"
+
+
+@pytest.mark.parametrize("registry, n", [
+    (electron_positron_registry(1), 4),
+    (electron_positron_registry(2), 3),
+    (electron_positron_registry(3), 3),
+    (color_toy_registry(), 2),
+    (neutral_kaon_registry(), 4),
+    (two_family_registry(), 3),
+])
+def test_canonical_order_is_the_sorted_order(registry, n):
+    # items_sorted, the state-file text and CutPlan rely on the two orders agreeing
+    basis = enumerate_basis(registry, n)
+    assert len(basis) > 1 and basis == sorted(basis)
+    assert fock.register_alphabet(registry) == sorted(fock.register_alphabet(registry))
+
+
+def test_labels_and_states_are_immutable_values():
+    label = RegisterLabel("e-")
+    assert label.spin == 0 and label == RegisterLabel("e-", 0)
+    assert RegisterLabel(spin=1, species_id="e+") == RegisterLabel("e+", 1)
+    assert BasisState(labels=(label,)) == BasisState((label,))
+    state = B(("e-", 0), ("e+", 1))
+    with pytest.raises(AttributeError):
+        state.labels = ()
+    with pytest.raises(AttributeError):
+        label.spin = 1
+    with pytest.raises(AttributeError):
+        label.note = "x"
+    # named tuples: equal to, and hashed as, a plain tuple of their fields
+    assert label == ("e-", 0) and hash(label) == hash(("e-", 0))
+    assert state == ((("e-", 0), ("e+", 1)),) and state.n == 2 and str(state) == "|e-,e+:1>"
+
+
+def test_pickled_basis_bytes_do_not_depend_on_the_hash_seed():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = (
+        "import pickle, sys; from superselect.fock import enumerate_basis; "
+        "from superselect.scenarios import electron_positron_registry; "
+        "basis = enumerate_basis(electron_positron_registry(2), 3); "
+        "{hash(b) for b in basis}; "  # hashing first must leave nothing in the pickle
+        "sys.stdout.write(pickle.dumps(basis).hex())"
+    )
+    dumps = [
+        subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                       env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed}).stdout
+        for seed in ("0", "1")
+    ]
+    assert dumps[0] and dumps[0] == dumps[1]
+    assert pickle.loads(bytes.fromhex(dumps[0])) == enumerate_basis(electron_positron_registry(2), 3)

@@ -4,6 +4,7 @@ import cmath
 import json
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -680,8 +681,28 @@ def test_loaders_parse_bytes_as_json_load_parses_the_text_file(tmp_path, load, t
     path = tmp_path / "doc.json"
     path.write_bytes(text.encode("utf-8"))
     with open(path, encoding="utf-8") as fh:
-        with pytest.raises(ValueError) as want:
+        with pytest.raises(json.JSONDecodeError) as want:
             json.load(fh)
-    with pytest.raises(ValueError) as got:
+    with pytest.raises(ConfigurationError) as got:
         load(str(path))
-    assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
+    # json's message, its line and column included, follows the file's name
+    assert str(got.value) == f"{path} is not valid JSON: {want.value}"
+
+
+@pytest.mark.parametrize("load", [load_registry, load_state])
+@pytest.mark.parametrize("text, reason", [
+    pytest.param(
+        '{"n": 1,', "Expecting property name enclosed in double quotes: line 1 column 9 (char 8)",
+        id="truncated",
+    ),
+    pytest.param("[" * 100_000 + "]" * 100_000, "maximum recursion depth exceeded", id="too-deep"),
+    pytest.param(
+        '{"n": ' + "9" * 5000 + "}", "Exceeds the limit (4300 digits)", id="too-many-digits",
+        marks=pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no digit limit"),
+    ),
+])
+def test_loaders_refuse_malformed_json_naming_the_file(tmp_path, load, text, reason):
+    path = tmp_path / "doc.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ConfigurationError, match="^" + re.escape(f"{path} is not valid JSON: {reason}")):
+        load(str(path))
