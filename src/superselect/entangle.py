@@ -18,7 +18,7 @@ import numpy as np
 
 from .charges import SpeciesRegistry
 from .errors import ConfigurationError, DomainError
-from .states import StateVector, require_normalized, require_single_sector
+from .states import StateVector, require_normalized, require_indices, require_single_sector
 
 #: Singular values at or below this fraction of the largest count as zero.
 RANK_REL_TOL = 1e-9
@@ -44,6 +44,7 @@ class Bipartition:
     @classmethod
     def from_left(cls, left, n: int) -> "Bipartition":
         left = frozenset(left)
+        require_indices(left, "cut index")
         full = frozenset(range(n))
         if not left or left == full:
             raise DomainError("trivial cut: both sides of a bipartition must be nonempty")
@@ -57,7 +58,8 @@ class Bipartition:
 
     def check(self, n: int) -> None:
         """Raise DomainError unless this cut splits the registers 0..n-1 into
-        two nonempty disjoint sides."""
+        two nonempty disjoint sides of integer indices."""
+        require_indices(self.left | self.right, "cut index")
         if self.left | self.right != set(range(n)):
             raise DomainError(f"cut {self} does not match register count n={n}")
         if not (self.left and self.right):
@@ -113,9 +115,8 @@ def all_bipartitions(n: int) -> list[Bipartition]:
     return [Bipartition(left, full - left) for left in map(frozenset, lefts)]
 
 
-#: Largest mixed-radix key the block ranking pass may build.
-_KEY_LIMIT = int(np.iinfo(np.int64).max)
-#: Most keys (states x cut sides) one ranking pass builds; about 40 bytes each.
+#: Most keys (states x cut sides) one ranking pass builds; about 40 bytes each
+#: as int64, more as the exact ints of a plan past 2 ** 63 configurations.
 _RANK_BLOCK_KEYS = 1 << 19
 #: Most bytes one batched SVD stack of cut matrices takes, or one matrix if
 #: a single matrix is larger.
@@ -134,18 +135,16 @@ _MINOR_ELEMENT_BYTES = 256
 class CutPlan:
     """Integer index plan for reshaping amplitudes over fixed product states.
 
-    Each register's labels get integer codes once, in sorted label order. A
-    cut side's configurations are then ranked with numpy alone: the codes of
-    its registers form a mixed-radix key (the first register most
-    significant), and the distinct keys are ranked in sorted order. Since the
-    codes follow label order, the ranks follow the sorted order of the side's
-    label tuples. A cut reaches the plan as a row of a boolean left-side
-    membership block, and ``rank_blocks`` ranks both sides of a block of
-    cuts in one pass: one integer product builds every side's keys, one
-    stable argsort per side orders them, and a running count of key changes
-    gives the ranks. Where a side's keys could outgrow int64, each side is
-    ranked by ``side``, one lexicographic ``np.unique`` over its code rows,
-    so any register count works. The plan keeps nothing of a cut.
+    Each register's labels get integer codes once, in sorted label order, and
+    each state one key, its position in register-major mixed-radix order:
+    ``keys = codes @ place``, where ``place[r]`` is the product of the later
+    registers' radices. The keys are int64 where the product of all radices
+    fits it, exact Python ints (dtype object) otherwise. A cut reaches the
+    plan as a row of a boolean left-side membership block. A state's left
+    key is the part of its key the left registers give and its right key
+    the rest; each orders its side's configurations as their label tuples
+    sort. ``rank_blocks`` ranks both sides of a block of cuts from one
+    integer product and one subtraction. The plan keeps nothing of a cut.
 
     ``stack`` is the one scatter of amplitude columns into cut matrices and
     ``spectra`` the one batched SVD over them, in stacks of at most
@@ -162,12 +161,9 @@ class CutPlan:
             index = {label: i for i, label in enumerate(sorted(set(column)))}
             self.codes[:, r] = [index[label] for label in column]
             self.radices.append(len(index))
-
-    def side(self, registers) -> tuple[np.ndarray, int]:
-        """Each state's rank among the distinct configurations of ``registers``
-        (in sorted label-tuple order), and their count."""
-        distinct, inverse = np.unique(self.codes[:, registers], axis=0, return_inverse=True)
-        return inverse.reshape(-1), len(distinct)
+        dtype = np.int64 if math.prod(self.radices) <= np.iinfo(np.int64).max else object
+        self.place = np.array([math.prod(self.radices[r + 1:]) for r in range(n)], dtype=dtype)
+        self.keys = self.codes @ self.place
 
     def rank_blocks(self, member: np.ndarray):
         """Yield, block by block, each (cuts x n) ``member`` row's (rows, cols,
@@ -180,32 +176,10 @@ class CutPlan:
         size = max(1, _RANK_BLOCK_KEYS // (2 * max(len(self.states), 1)))
         for start in range(0, len(member), size):
             block = member[start:start + size]
-            sides = np.concatenate([block, ~block])  # every cut's left side, then every right side
-            if math.prod(self.radices) > _KEY_LIMIT:  # a side's keys could outgrow int64
-                ranks, counts = zip(*(self.side(np.flatnonzero(m)) for m in sides))
-            else:
-                ranks, counts = self._rank_sides(sides)
+            left = (block * self.place) @ self.codes.T  # (cuts, states)
+            ranks, counts = _dense_ranks(np.concatenate([left, self.keys - left]))
             k = len(block)
             yield list(zip(ranks[:k], ranks[k:], counts[:k], counts[k:]))
-
-    def _rank_sides(self, member: np.ndarray) -> tuple[np.ndarray, list[int]]:
-        """The ranks ``side`` gives for each (sides x n) ``member`` row, and
-        each side's count of distinct configurations, from one pass.
-
-        A state's rank is the number of distinct smaller keys.
-        """
-        # a register's place value: the product of the radices of the side's later registers
-        radix = np.where(member, self.radices, 1)
-        place = np.ones_like(radix)
-        place[:, :-1] = np.cumprod(radix[:, :0:-1], axis=1)[:, ::-1]
-        keys = (place * member) @ self.codes.T  # (sides, states)
-        order = np.argsort(keys, axis=1, kind="stable")
-        new = np.ones(keys.shape, dtype=bool)  # where a sorted key differs from the one before
-        ordered = np.take_along_axis(keys, order, axis=1)
-        np.not_equal(ordered[:, 1:], ordered[:, :-1], out=new[:, 1:])
-        ranks = np.empty_like(order)
-        np.put_along_axis(ranks, order, np.cumsum(new, axis=1) - 1, axis=1)
-        return ranks, new.sum(axis=1).tolist()
 
     @staticmethod
     def stack(cuts: list[tuple], columns: np.ndarray) -> np.ndarray:
@@ -247,6 +221,18 @@ class CutPlan:
             return np.concatenate(parts)
         # one cut per stack: its column blocks in order, then the next cut's
         return np.concatenate(parts, axis=1).reshape(len(cuts), k, min(left, right))
+
+
+def _dense_ranks(keys: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """Each key's dense rank in its row of ``keys``, the number of distinct
+    smaller keys there, and each row's count of distinct keys."""
+    order = np.argsort(keys, axis=1, kind="stable")
+    new = np.ones(keys.shape, dtype=bool)  # where a sorted key differs from the one before
+    ordered = np.take_along_axis(keys, order, axis=1)
+    np.not_equal(ordered[:, 1:], ordered[:, :-1], out=new[:, 1:])
+    ranks = np.empty_like(order)
+    np.put_along_axis(ranks, order, np.cumsum(new, axis=1) - 1, axis=1)
+    return ranks, new.sum(axis=1).tolist()
 
 
 def _ranks(values: np.ndarray) -> np.ndarray:
@@ -447,7 +433,7 @@ def is_entangled_somewhere(registry: SpeciesRegistry, vec: StateVector) -> Entan
 def _minor_certified(plan: CutPlan, member: np.ndarray, columns: np.ndarray) -> np.ndarray:
     """Whether each column, of 3 to ``_MINOR_TERMS`` terms, has on every cut of
     ``member`` a 2 x 2 minor of its cut matrix above ``_MINOR_TOL`` times its
-    squared norm. Needs the plan's full mixed-radix keys to fit int64.
+    squared norm.
 
     Every 2 x 2 submatrix of a matrix M has singular values at most those of
     M (interlacing; Horn & Johnson, *Matrix Analysis*), so such a minor is at
@@ -457,20 +443,18 @@ def _minor_certified(plan: CutPlan, member: np.ndarray, columns: np.ndarray) -> 
     The minors pair the column's largest term s with each partner t, a state
     of the plan: rows L(s), L(t) and columns R(s), R(t) of the cut matrix,
     whose cross entries are the amplitudes of the states L(t) R(s) and
-    L(s) R(t), each looked up by its full key in the plan's sorted keys (0
-    if absent). Where s and t agree on one side of the cut, as when t is s,
-    the cross entries are their own amplitudes, so the two products cancel
-    to rounding, far below the bound: every partner is tried on every cut.
+    L(s) R(t), each looked up by its key in the plan's sorted ``keys`` (0 if
+    absent); a side's part of a key comes from the plan's ``place`` values.
+    Where s and t agree on one side of the cut, as when t is s, the cross
+    entries are their own amplitudes, so the two products cancel to
+    rounding, far below the bound: every partner is tried on every cut.
     The partners are the column's ``terms`` largest entries, larger first,
     which hold all its terms. Columns, cuts and partners are taken in blocks
     of at most ``_SVD_STACK_BYTES`` // ``_MINOR_ELEMENT_BYTES`` (column,
     partner, cut) elements, and a block of columns takes no more partners
     once each of its cuts is certified.
     """
-    n, k = plan.n, columns.shape[1]
-    place = np.ones(n, dtype=np.int64)  # a register's place value in a full key
-    place[:-1] = np.cumprod(plan.radices[:0:-1])[::-1]
-    keys = plan.codes @ place
+    k, keys = columns.shape[1], plan.keys
     order = np.argsort(keys)
     ordered = keys[order]
 
@@ -490,7 +474,7 @@ def _minor_certified(plan: CutPlan, member: np.ndarray, columns: np.ndarray) -> 
     elements = max(1, _SVD_STACK_BYTES // _MINOR_ELEMENT_BYTES)
     certified = np.ones(k, dtype=bool)
     for b in range(0, len(member), elements):
-        lefts = (member[b:b + elements] * place).T  # a state's codes times these give its left keys
+        lefts = (member[b:b + elements] * plan.place).T  # a state's codes times these give its left keys
         width = max(1, elements // lefts.shape[1])  # columns in one block
         for a in range(0, k, width):
             block = slice(a, a + width)
@@ -547,7 +531,7 @@ def every_cut_entangled(plan: CutPlan, columns: np.ndarray) -> list[bool]:
     undecided = count > 2
     undecided[two] = apart & (small >= RANK_REL_TOL / _TIER_MARGIN * large) & ~verdict[two]
     few = np.flatnonzero((count > 2) & (count <= _MINOR_TERMS))
-    if few.size and math.prod(plan.radices) <= _KEY_LIMIT:
+    if few.size:
         verdict[few] = _minor_certified(plan, member, columns[:, few])
     live = np.flatnonzero(undecided & ~verdict)  # the columns still in play
     columns = columns[:, live]
@@ -606,7 +590,7 @@ def _eigvalsh_blocks(mat: np.ndarray) -> np.ndarray:
     sizes = sizes[sizes > 0]  # per component, in order of its label as in ``order``
     starts = np.cumsum(sizes) - sizes
     spectra = []
-    for size in np.unique(sizes):
+    for size in sorted(set(sizes.tolist())):
         idx = order[starts[sizes == size, None] + np.arange(size)]
         if size == 1:
             spectra.append(mat[idx[:, 0], idx[:, 0]].real)

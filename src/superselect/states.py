@@ -178,6 +178,14 @@ def require_normalized(vec: StateVector) -> None:
         raise DomainError(f"state is not normalized (norm {vec.norm():.12g})")
 
 
+def require_indices(values, what: str) -> None:
+    """Raise DomainError naming the first of ``values`` that is a bool or that
+    ``operator.index`` refuses; NumPy integers pass."""
+    for value in values:
+        if isinstance(value, (bool, np.bool_)) or not hasattr(type(value), "__index__"):
+            raise DomainError(f"{what} {value!r} is not an integer")
+
+
 def normalize(vec: StateVector) -> StateVector:
     nrm = vec.norm()
     if nrm == 0.0:

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import superselect.entangle as entangle_module
 from superselect.entangle import (
+    RANK_REL_TOL,
     Bipartition,
     CutPlan,
     DensityMatrix,
@@ -35,6 +36,7 @@ from superselect.scenarios import (
 from superselect.states import SectorIndex, StateVector, from_coordinates, normalize
 
 from helpers import (
+    dense_tensor,
     dyon_registry,
     lepton_photon_registry,
     mixed_spin_registry,
@@ -74,6 +76,32 @@ def test_bipartition_rejects_trivial_cuts():
         Bipartition.from_left({0, 1}, 2)
     with pytest.raises(DomainError):
         Bipartition.from_left({3}, 2)
+
+
+def test_cut_indices_must_be_integers(bell_plus):
+    reg = build_scenario("bell_plus")[0]
+    rho = internal_charge_marginal(reg, bell_plus)
+    not_integer = r"^cut index .+ is not an integer$"
+    for bad in (0.0, 1.0, True, np.True_, "0", None):
+        with pytest.raises(DomainError, match=not_integer):
+            Bipartition.from_left({bad}, 2)
+    # a cut built directly is refused wherever it is checked against the registers
+    for left, right in (({0.0}, {1}), ({True}, {0}), ({0}, {np.float64(1)})):
+        cut = Bipartition(frozenset(left), frozenset(right))
+        calls = (
+            lambda: schmidt(bell_plus, cut),
+            lambda: cut_spectra(bell_plus, [cut, cut]),
+            lambda: internal_charge_marginal(reg, bell_plus, cut),
+            lambda: ppt_check(rho, cut),
+        )
+        for call in calls:
+            with pytest.raises(DomainError, match=not_integer):
+                call()
+    # NumPy integers stay accepted
+    cut = Bipartition.from_left({np.int64(0)}, 2)
+    assert str(cut) == "{0}|{1}" and cut == CUT01
+    assert schmidt(bell_plus, cut).rank == 2
+    assert ppt_check(rho, Bipartition(frozenset({np.int32(0)}), frozenset({np.uint8(1)}))).entangled
 
 
 def test_all_bipartitions_count():
@@ -363,6 +391,46 @@ def test_cut_kernel_matches_loop_reference(name):
             assert result.singular_values.tobytes() == want.tobytes(), str(cut)
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(sorted(TEST_REGISTRIES)),
+    st.integers(2, 5),
+    st.floats(-11, 0),
+    st.integers(0, 2**32 - 1),
+)
+def test_cut_ranks_equal_the_dense_tensor_reshape_ranks(name, n, exponent, seed):
+    """Every rank ``cut_spectra`` and both predicates report equals that of
+    the cut's reshape of the dense amplitude tensor, off a band of a factor
+    1e3 either side of the rank cutoff, where rounding may decide. Some
+    terms are scaled by 10 ** ``exponent``, so singular values fall on both
+    sides of the cutoff."""
+    registry = TEST_REGISTRIES[name]
+    rng = np.random.default_rng(seed)
+    vec = random_single_sector_state(rng, registry, n)
+    small = rng.random(len(vec)) < 0.5
+    small[rng.integers(len(vec))] = False  # a term the pruning of tiny amplitudes keeps
+    vec = normalize(StateVector({
+        state: amp * 10.0**exponent if shrink else amp
+        for (state, amp), shrink in zip(vec.terms.items(), small)
+    }))
+    tensor = dense_tensor(vec)
+    reports = [is_packaged_entangled(registry, vec), is_entangled_somewhere(registry, vec)]
+    canonical = {cut.key() for cut in all_bipartitions(n)}
+    assert all(set(report.cut_ranks) == canonical for report in reports)
+    cuts = _every_side(n)
+    for cut, result in zip(cuts, cut_spectra(vec, cuts)):
+        ratios = result.singular_values[1:] / result.singular_values[0]
+        if np.any((ratios > RANK_REL_TOL / 1e3) & (ratios < RANK_REL_TOL * 1e3)):
+            continue
+        left, right = sorted(cut.left), sorted(cut.right)
+        matrix = tensor.transpose(left + right).reshape(math.prod(tensor.shape[r] for r in left), -1)
+        dense = np.linalg.svd(matrix, compute_uv=False)
+        want = int(np.count_nonzero(dense > RANK_REL_TOL * dense[0]))
+        assert result.rank == want, str(cut)
+        if cut.key() in canonical:
+            assert all(report.cut_ranks[cut.key()] == want for report in reports), str(cut)
+
+
 def _two_term_state(n):
     """(|e-,e+,e-,...> + |e+,e-,e+,...>)/sqrt(2) on n (even) registers: sector 0."""
     first = tuple(RegisterLabel("e-" if r % 2 == 0 else "e+") for r in range(n))
@@ -403,51 +471,82 @@ def _random_support(rng, registry, n):
     return list(dict.fromkeys(BasisState(tuple(alphabet[i] for i in row)) for row in picks))
 
 
-def _assert_blocks_rank_per_side(plan, cuts):
-    """``rank_blocks`` on the membership of ``cuts`` gives, in order, each
-    cut's ``side`` ranks of both its sides and their counts, in blocks of at
-    most ``_RANK_BLOCK_KEYS`` state x side keys."""
-    member = np.array([[r in cut.left for r in range(plan.n)] for cut in cuts])
+def _reference_side(states, registers):
+    """Each state's rank among the sorted distinct label tuples on ``registers``,
+    and their count, by Python sorting alone."""
+    tuples = [tuple(state.labels[r] for r in registers) for state in states]
+    rank = {t: i for i, t in enumerate(sorted(set(tuples)))}
+    return [rank[t] for t in tuples], len(rank)
+
+
+def _assert_blocks_rank_per_side(plan, lefts):
+    """``rank_blocks`` on the membership of the left sides ``lefts`` gives, in
+    order, both sides' ranks among their sorted label tuples and their
+    counts, in blocks of at most ``_RANK_BLOCK_KEYS`` state x side keys."""
+    member = np.array([[r in left for r in range(plan.n)] for left in lefts])
     blocks = list(plan.rank_blocks(member))
     most = max(1, entangle_module._RANK_BLOCK_KEYS // (2 * len(plan.states)))
     assert all(len(block) <= most for block in blocks)
     ranked = [index for block in blocks for index in block]
-    assert len(ranked) == len(cuts)
-    for cut, (rows, cols, left, right) in zip(cuts, ranked):
-        want_rows, want_left = plan.side(sorted(cut.left))
-        want_cols, want_right = plan.side(sorted(cut.right))
-        assert np.array_equal(rows, want_rows) and np.array_equal(cols, want_cols), str(cut)
-        assert (left, right) == (want_left, want_right), str(cut)
+    assert len(ranked) == len(lefts)
+    for left, (rows, cols, height, width) in zip(lefts, ranked):
+        want_rows, want_height = _reference_side(plan.states, sorted(left))
+        want_cols, want_width = _reference_side(plan.states, sorted(set(range(plan.n)) - set(left)))
+        assert rows.tolist() == want_rows and cols.tolist() == want_cols, sorted(left)
+        assert (height, width) == (want_height, want_width), sorted(left)
 
 
 @pytest.mark.parametrize("budget", [None, 1, 3, 200], ids=["default", "keys1", "keys3", "keys200"])
 @pytest.mark.parametrize("name", sorted(TEST_REGISTRIES))
 def test_block_ranked_index_equals_per_side_ranking(monkeypatch, name, budget):
-    """Every side of a block ranked in one pass equals its own ``side`` ranking,
-    across block sizes, duplicate cuts and both orientations of each cut."""
+    """Every side of a block ranked in one pass equals its own ranking among
+    the sorted label tuples, across block sizes, duplicate cuts and both
+    orientations of each cut."""
     if budget is not None:
         monkeypatch.setattr(entangle_module, "_RANK_BLOCK_KEYS", budget)
     reg = TEST_REGISTRIES[name]
     rng = np.random.default_rng(100 + sorted(TEST_REGISTRIES).index(name))
     for n in range(2, 9):
         plan = CutPlan(_random_support(rng, reg, n), n)
-        cuts = _every_side(n)  # both orientations of every cut
-        _assert_blocks_rank_per_side(plan, cuts + cuts[::3])  # and some twice
+        lefts = [cut.left for cut in _every_side(n)]  # both orientations of every cut
+        _assert_blocks_rank_per_side(plan, lefts + lefts[::3])  # and some twice
 
 
-def test_block_ranking_keeps_the_recompressing_side_for_keys_past_int64(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("keys that could pass int64 were built")
-
-    monkeypatch.setattr(CutPlan, "_rank_sides", refuse)
+def _seventy_register_plan():
+    """A plan of three states on 70 registers, two labels each: 2^70 keys."""
     vec = _two_term_state(70)
     labels = list(next(iter(vec.terms)).labels)
     labels[1], labels[2] = labels[2], labels[1]
-    plan = CutPlan([*vec.terms, BasisState(tuple(labels))], 70)
-    # 2^69 right-side keys overflow; 2^35 and the even registers' 2^35 do not
-    lefts = ({0}, set(range(35)), set(range(0, 70, 2)), set(range(1, 70)))
-    cuts = [Bipartition.from_left(left, 70) for left in lefts]
-    _assert_blocks_rank_per_side(plan, cuts + cuts[:1])
+    return CutPlan([*vec.terms, BasisState(tuple(labels))], 70)
+
+
+def test_block_ranking_on_exact_keys_past_int64():
+    plan = _seventy_register_plan()
+    assert plan.place.dtype == object and plan.keys.dtype == object
+    # each key is the state's exact mixed-radix position, the first register most significant
+    want = [sum(int(c) << (69 - r) for r, c in enumerate(row)) for row in plan.codes]
+    assert plan.keys.tolist() == want and max(want) >= 2**63
+    # 2^69 right-side configurations, 2^35 and the even registers' 2^35, and a full side
+    lefts = ({0}, set(range(35)), set(range(0, 70, 2)), set(range(1, 70)), set(range(70)))
+    _assert_blocks_rank_per_side(plan, [*lefts, lefts[0]])
+
+
+@pytest.mark.parametrize("n", [62, 63])
+def test_keys_switch_to_exact_ints_where_the_radix_product_passes_int64(n):
+    # a radix product of 2^62 fits int64; 2^63 does not
+    vec = _two_term_state(n)
+    labels = list(next(iter(vec.terms)).labels)
+    labels[0], labels[1] = labels[1], labels[0]
+    wider = StateVector({**vec.terms, BasisState(tuple(labels)): 0.5})
+    wider = StateVector({b: a / wider.norm() for b, a in wider.terms.items()})
+    plan = CutPlan(wider.terms, n)
+    assert plan.keys.dtype == (np.int64 if n == 62 else object)
+    cuts = [
+        Bipartition.from_left(left, n)
+        for left in ({0}, {1}, set(range(1, n)), set(range(0, n, 2)), set(range(n // 2)))
+    ]
+    for cut, result, want in zip(cuts, cut_spectra(wider, cuts), reference_cut_spectra(wider, cuts)):
+        assert result.singular_values.tobytes() == want.tobytes(), str(cut)
 
 
 def test_every_cut_check_keeps_no_per_cut_state(monkeypatch):
@@ -472,14 +571,14 @@ def test_every_cut_check_ranks_no_block_after_the_last_column_fails(monkeypatch)
     # register with a ratio of 1e-10, inside the band left to the SVD, which
     # finds rank 1 on the first cut
     monkeypatch.setattr(entangle_module, "_RANK_BLOCK_KEYS", 1)
-    rank_sides = CutPlan._rank_sides
+    dense_ranks = entangle_module._dense_ranks
     passes = []
 
-    def spy(plan, member):
-        passes.append(len(member))
-        return rank_sides(plan, member)
+    def spy(keys):
+        passes.append(len(keys))
+        return dense_ranks(keys)
 
-    monkeypatch.setattr(CutPlan, "_rank_sides", spy)
+    monkeypatch.setattr(entangle_module, "_dense_ranks", spy)
     basis = sector_basis(electron_positron_registry(1), 4, SectorIndex((0,)))
     columns = np.zeros((6, 6), dtype=complex)
     for k in range(3):  # the mirror pairs of the builder's seeds, either state the larger
@@ -685,47 +784,35 @@ def test_certificate_certifies_no_cut_a_column_factorizes_on(monkeypatch, regist
     assert every_cut_entangled(plan, columns) == [False] * columns.shape[1]
 
 
-def test_certificate_is_skipped_where_full_keys_could_pass_int64(monkeypatch):
+def test_certificate_on_exact_keys_equals_the_svd_reference(monkeypatch):
     basis = sector_basis(electron_positron_registry(1), 7, SectorIndex((1,)))
     plan = CutPlan(basis, 7)
     columns = _momentum_columns(basis)
+    want = reference_every_cut_entangled(plan, columns)
+    # the keys a plan past 2^63 configurations holds, on a sector small enough for the reference
+    plan.place, plan.keys = plan.place.astype(object), plan.keys.astype(object)
+    certified = entangle_module._minor_certified
+    calls = []
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("the certificate ran on keys past the limit")
+    def spy(*args):
+        calls.append(args[0].keys.dtype)
+        return certified(*args)
 
-    monkeypatch.setattr(entangle_module, "_KEY_LIMIT", math.prod(plan.radices) - 1)
-    monkeypatch.setattr(entangle_module, "_minor_certified", refuse)
-    assert every_cut_entangled(plan, columns) == reference_every_cut_entangled(plan, columns)
-
-
-def _reference_side(states, registers):
-    """Each state's rank among the sorted distinct label tuples on ``registers``,
-    and their count, by Python sorting alone."""
-    tuples = [tuple(state.labels[r] for r in registers) for state in states]
-    rank = {t: i for i, t in enumerate(sorted(set(tuples)))}
-    return [rank[t] for t in tuples], len(rank)
+    monkeypatch.setattr(entangle_module, "_minor_certified", spy)
+    assert every_cut_entangled(plan, columns) == want
+    assert calls == [object]
 
 
 def test_side_ranking_equals_the_sorted_label_tuples():
     rng = np.random.default_rng(300)
-    cases = []  # (plan, sides)
     for name in sorted(TEST_REGISTRIES):
         for n in range(1, 9):
             plan = CutPlan(_random_support(rng, TEST_REGISTRIES[name], n), n)
-            sides = [sorted(cut.left) for cut in _every_side(n)] + [list(range(n))]
-            cases.append((plan, sides))
-    vec = _two_term_state(70)
-    labels = list(next(iter(vec.terms)).labels)
-    labels[1], labels[2] = labels[2], labels[1]
+            # both orientations of every cut, then the full side against the empty one
+            _assert_blocks_rank_per_side(plan, [cut.left for cut in _every_side(n)] + [set(range(n))])
+    plan = _seventy_register_plan()
     lefts = ({0}, set(range(35)), set(range(0, 70, 2)), set(range(1, 70)), set(range(70)))
-    sides = [sorted(left) for left in lefts] + [sorted(set(range(70)) - left) for left in lefts[:4]]
-    cases.append((CutPlan([*vec.terms, BasisState(tuple(labels))], 70), sides))
-    for plan, sides in cases:
-        for registers in sides:
-            rank, count = plan.side(registers)
-            want_rank, want_count = _reference_side(plan.states, registers)
-            assert rank.shape == (len(plan.states),) and rank.tolist() == want_rank, registers
-            assert count == want_count, registers
+    _assert_blocks_rank_per_side(plan, [*lefts, *(set(range(70)) - left for left in lefts)])
 
 
 @pytest.mark.parametrize("stack_bytes", [None, 1, 3 * 16 * 4], ids=["default", "one-matrix", "small"])
@@ -858,7 +945,7 @@ def test_every_cut_check_refuses_a_cut_of_another_register_count(bell_plus):
             lambda: ppt_check(rho, cut),
             lambda: internal_charge_marginal(reg, bell_plus, cut),
             lambda: schmidt(bell_plus, cut),
-            lambda: cut_spectra(bell_plus, [CUT01, cut]),
+            lambda: cut_spectra(bell_plus, [cut, cut]),
         ):
             with pytest.raises(DomainError) as excinfo:
                 call()

@@ -100,6 +100,19 @@ def test_measurement_register_bounds(hybrid_third):
         measure_spin(reg, state, spin_z_observable(reg, 5))
 
 
+def test_measurement_refuses_a_register_that_is_not_an_integer(hybrid_third):
+    reg, state, _ = hybrid_third
+    records = lambda obs: [(r.outcome, r.probability, r.post_state.terms) for r in measure_spin(reg, state, obs)]
+    want = records(spin_z_observable(reg, 1))  # kept on the vector; True and 1.0 equal 1
+    for bad in (0.0, 1.0, True, np.True_, "1", None):
+        obs = spin_z_observable(reg, bad)
+        for call in (measure_spin, lambda *args: sample_measurements(*args, [0, 1])):
+            with pytest.raises(DomainError, match=r"^register .+ is not an integer$"):
+                call(reg, state, obs)
+    for good in (np.int64(1), np.uint8(1)):  # NumPy integers stay accepted
+        assert records(spin_z_observable(reg, good)) == want
+
+
 def test_measurement_requires_normalized_state():
     reg = electron_positron_registry(1)
     vec = StateVector({B(("e-", 0), ("e+", 0)): 2.0})
