@@ -284,12 +284,13 @@ def _spectra(vec: StateVector, member: np.ndarray):
 
 def cut_spectra(vec: StateVector, cuts) -> list[SchmidtResult]:
     """Schmidt spectrum across each of ``cuts``, in order, from one index plan;
-    each distinct cut is checked against the register count once."""
+    every cut is checked against the register count, each distinct one then
+    computed once."""
     require_normalized(vec)
     cuts = list(cuts)
-    distinct = list(dict.fromkeys(cuts))
-    for cut in distinct:
+    for cut in cuts:  # before merging: a cut at 0.0 equals the cut at 0
         cut.check(vec.n)
+    distinct = list(dict.fromkeys(cuts))
     member = np.zeros((len(distinct), vec.n), dtype=bool)
     member.ravel()[[i * vec.n + r for i, cut in enumerate(distinct) for r in cut.left]] = True
     found = [None] * len(distinct)

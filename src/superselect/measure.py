@@ -99,7 +99,6 @@ def _branches(registry: SpeciesRegistry, vec: StateVector, obs: SpinObservable):
     require_normalized(vec)
     require_single_sector(registry, vec)
     n, r = vec.n, obs.register  # post_state reads n, not vec: the vector keeps its result
-    require_indices([r], "register")
     if not 0 <= r < n:
         raise DomainError(f"register {r} out of range for n={n}")
     outcomes = obs.outcome_count()
@@ -174,16 +173,16 @@ def _distribution(registry: SpeciesRegistry, vec: StateVector, obs: SpinObservab
     All three are kept on the vector (its one-entry ``_born`` slot), under a
     key that snapshots everything ``_branches`` reads besides the immutable
     vector: the registry's charge specs and species-by-id table, and the
-    observable's register, with its type (True equals 1), and basis bits. Registry lists and observable
+    observable's register and basis bits. Registry lists and observable
     arrays can change in place, so the key is compared on every call, and an
     unequal key recomputes. A call that raises stores nothing. The entry
     holds no reference back to its vector, so it dies with it.
     """
+    require_indices([obs.register], "register")  # before the key: True == 1
     bases = ((sid, np.asarray(mat)) for sid, mat in obs.bases.items())
     key = (
         tuple(registry.charge_specs),
         tuple(registry._by_id.items()),
-        type(obs.register),
         obs.register,
         tuple((sid, mat.shape, mat.dtype, mat.tobytes()) for sid, mat in bases),
     )

@@ -91,6 +91,8 @@ def test_cut_indices_must_be_integers(bell_plus):
         calls = (
             lambda: schmidt(bell_plus, cut),
             lambda: cut_spectra(bell_plus, [cut, cut]),
+            # after an equal integer cut, which would merge it away unchecked
+            lambda: cut_spectra(bell_plus, [CUT01, cut]),
             lambda: internal_charge_marginal(reg, bell_plus, cut),
             lambda: ppt_check(rho, cut),
         )
@@ -945,6 +947,7 @@ def test_every_cut_check_refuses_a_cut_of_another_register_count(bell_plus):
             lambda: ppt_check(rho, cut),
             lambda: internal_charge_marginal(reg, bell_plus, cut),
             lambda: schmidt(bell_plus, cut),
+            lambda: cut_spectra(bell_plus, [CUT01, cut]),
             lambda: cut_spectra(bell_plus, [cut, cut]),
         ):
             with pytest.raises(DomainError) as excinfo:
