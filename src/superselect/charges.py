@@ -155,7 +155,7 @@ class SpeciesRegistry:
             ChargeComponentSpec(
                 name=_require_str(c, "name"),
                 kind=_require_str(c, "kind"),
-                unit=str(c.get("unit", "")),
+                unit=_require_str(c, "unit") if "unit" in c else "",
             )
             for c in _require_objects(data, "charge_specs")
         ]

@@ -199,28 +199,21 @@ class CutPlan:
         Each SVD stack takes at most ``_SVD_STACK_BYTES``, or one matrix if a
         single matrix is larger: whole cuts per stack while all k columns
         fit, else one cut's columns in blocks. LAPACK solves each matrix of a
-        stack on its own, so the values do not depend on the blocking.
+        stack on its own, so the values do not depend on the blocking. Both
+        callers pass at least one cut and one column of a state with terms
+        (``_spectra`` admits a normalized state, ``every_cut_entangled`` only
+        live columns), so L, R and k are all at least 1.
         """
         k = columns.shape[1]
         _, _, left, right = cuts[0]
-        size = 16 * left * right  # bytes of one complex matrix
-        fit = _SVD_STACK_BYTES // size if size else len(cuts) * k  # matrices per stack
-        if fit >= len(cuts) * k:
-            blocks = [(cuts, columns)]
-        else:
-            step, width = (fit // k, k) if fit >= k else (1, max(fit, 1))  # cuts, columns per stack
-            blocks = [
-                (cuts[a:a + step], columns[:, b:b + width])
-                for a in range(0, len(cuts), step)
-                for b in range(0, k, width)
-            ]
-        parts = [np.linalg.svd(CutPlan.stack(*block), compute_uv=False) for block in blocks]
-        if len(parts) == 1:
-            return parts[0]
-        if fit >= k:  # whole cuts per stack
-            return np.concatenate(parts)
-        # one cut per stack: its column blocks in order, then the next cut's
-        return np.concatenate(parts, axis=1).reshape(len(cuts), k, min(left, right))
+        fit = max(1, _SVD_STACK_BYTES // (16 * left * right))  # complex matrices per stack
+        step, width = (fit // k, k) if fit >= k else (1, fit)  # cuts, columns per stack
+        values = np.empty((len(cuts), k, min(left, right)))
+        for a in range(0, len(cuts), step):
+            for b in range(0, k, width):
+                stack = CutPlan.stack(cuts[a:a + step], columns[:, b:b + width])
+                values[a:a + step, b:b + width] = np.linalg.svd(stack, compute_uv=False)
+        return values
 
 
 def _dense_ranks(keys: np.ndarray) -> tuple[np.ndarray, list[int]]:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import partial
 from itertools import accumulate
 
 import numpy as np
@@ -82,30 +81,22 @@ class MeasurementRecord:
 
 
 def _branches(registry: SpeciesRegistry, vec: StateVector, obs: SpinObservable):
-    """Admit ``vec`` once and project it on every outcome of ``obs``.
+    """Admit ``vec`` once and project it on every outcome of ``obs``, term by term.
 
     Returns ``(outcome, probability, post_state)`` for every outcome whose
-    projection survives pruning, in outcome order. ``post_state()`` builds
-    that branch's normalized StateVector, so a caller pays only for the
-    branches it returns.
-
-    Each term's basis and spin are checked once. Terms that differ only in
-    register ``r``'s spin share a group, and a branch is keyed by group and
-    new spin, so contributions to one key are summed in term order exactly as
-    a dict keyed by the projected BasisState would sum them. The kept
-    amplitudes, their ``norm() ** 2`` and the normalized post state are
-    therefore bitwise those of the term-by-term projection.
+    projection survives pruning, in outcome order. Each outcome's projection
+    is one dict keyed by the projected BasisState, filled in term order and
+    then new-spin order, and pruned at ``PRUNE_TOL``; its probability is the
+    squared norm of the kept amplitudes and its post state those amplitudes
+    scaled by the inverse norm, as ``normalize`` scales a built branch.
     """
     require_normalized(vec)
     require_single_sector(registry, vec)
-    n, r = vec.n, obs.register  # post_state reads n, not vec: the vector keeps its result
+    n, r = vec.n, obs.register
     if not 0 <= r < n:
         raise DomainError(f"register {r} out of range for n={n}")
-    outcomes = obs.outcome_count()
 
-    blocks: dict[str, tuple] = {}  # species -> rows, conjugated rows, m, diagonal?
-    groups: dict[tuple, int] = {}
-    members: list[dict[int, BasisState]] = []  # per group: spin at r -> its term's state
+    blocks: dict[str, tuple] = {}  # species -> rows, conjugated rows, m
     terms = []
     for state, amp in vec.terms.items():
         label = state.labels[r]
@@ -115,38 +106,15 @@ def _branches(registry: SpeciesRegistry, vec: StateVector, obs: SpinObservable):
             basis = obs.bases.get(sid)
             if basis is None:
                 raise ConfigurationError(f"observable has no spin basis for species {sid!r}")
-            diagonal = np.count_nonzero(basis) == np.count_nonzero(basis.diagonal())
-            block = blocks[sid] = (basis.tolist(), basis.conj().tolist(), basis.shape[0], diagonal)
-        rows, conj_rows, m, diagonal = block
-        if label.spin >= m:
-            raise DomainError(f"spin index {label.spin} outside the {m}-dim basis for {sid!r}")
-        if diagonal:  # the term only ever projects onto itself: a group of its own
-            group = len(members)
-        else:
-            group = groups.setdefault((state.labels[:r], sid, state.labels[r + 1:]), len(members))
-        if group == len(members):
-            members.append({})
-        members[group][label.spin] = state
-        terms.append((group * outcomes, label.spin, amp, rows, conj_rows, m))
-
-    def post_state(norm: float, kept) -> StateVector:
-        pairs = []
-        for key, amp in kept:
-            group, new_spin = divmod(key, outcomes)
-            state = members[group].get(new_spin)
-            if state is None:
-                labels = list(next(iter(members[group].values())).labels)
-                labels[r] = RegisterLabel(labels[r].species_id, new_spin)
-                state = BasisState(tuple(labels))
-            pairs.append((state, amp))
-        # normalize(branch) without building the branch first: the kept pairs
-        # are the branch's terms in order, and ``norm`` is its norm()
-        return scale_pairs(1.0 / norm, pairs, n)
+            block = blocks[sid] = (basis.tolist(), basis.conj().tolist(), basis.shape[0])
+        if label.spin >= block[2]:
+            raise DomainError(f"spin index {label.spin} outside the {block[2]}-dim basis for {sid!r}")
+        terms.append((state, label, amp, block))
 
     branches = []
-    for outcome in range(outcomes):
-        projected: dict[int, complex] = {}
-        for base, spin, amp, rows, conj_rows, m in terms:
+    for outcome in range(obs.outcome_count()):
+        projected: dict[BasisState, complex] = {}
+        for state, (sid, spin), amp, (rows, conj_rows, m) in terms:
             if outcome >= m:
                 continue  # this species block has no such outcome
             overlap = conj_rows[outcome][spin] * amp
@@ -156,27 +124,31 @@ def _branches(registry: SpeciesRegistry, vec: StateVector, obs: SpinObservable):
                 coef = entry * overlap
                 if coef == 0:
                     continue
-                key = base + new_spin
+                if new_spin == spin:
+                    key = state
+                else:
+                    labels = state.labels
+                    key = BasisState(labels[:r] + (RegisterLabel(sid, new_spin),) + labels[r + 1:])
                 projected[key] = projected.get(key, 0j) + coef
-        kept = [(key, amp) for key, amp in projected.items() if abs(amp) >= PRUNE_TOL]
+        kept = [(state, amp) for state, amp in projected.items() if abs(amp) >= PRUNE_TOL]
         if kept:
             norm = amplitude_norm(amp for _, amp in kept)
-            branches.append((outcome, norm ** 2, partial(post_state, norm, kept)))
+            branches.append((outcome, norm ** 2, scale_pairs(1.0 / norm, kept, n)))
     return branches
 
 
 def _distribution(registry: SpeciesRegistry, vec: StateVector, obs: SpinObservable):
-    """``vec``'s Born distribution under ``obs``: ``(branches, edges, built)``.
+    """``vec``'s Born distribution under ``obs``: ``(branches, edges)``.
 
-    ``branches`` is ``_branches``' list, ``edges`` the running sums of its
-    probabilities and ``built`` the post states made so far, by branch index.
-    All three are kept on the vector (its one-entry ``_born`` slot), under a
-    key that snapshots everything ``_branches`` reads besides the immutable
-    vector: the registry's charge specs and species-by-id table, and the
-    observable's register and basis bits. Registry lists and observable
-    arrays can change in place, so the key is compared on every call, and an
-    unequal key recomputes. A call that raises stores nothing. The entry
-    holds no reference back to its vector, so it dies with it.
+    ``branches`` is ``_branches``' list, every post state built with it, and
+    ``edges`` the running sums of its probabilities. Both are kept on the
+    vector (its one-entry ``_born`` slot), under a key that snapshots
+    everything ``_branches`` reads besides the immutable vector: the
+    registry's charge specs and species-by-id table, and the observable's
+    register and basis bits. Registry lists and observable arrays can change
+    in place, so the key is compared on every call, and an unequal key
+    recomputes. A call that raises stores nothing. The entry holds no
+    reference back to its vector, so it dies with it.
     """
     require_indices([obs.register], "register")  # before the key: True == 1
     bases = ((sid, np.asarray(mat)) for sid, mat in obs.bases.items())
@@ -189,17 +161,8 @@ def _distribution(registry: SpeciesRegistry, vec: StateVector, obs: SpinObservab
     born = vec._born
     if born is None or born[0] != key:
         branches = _branches(registry, vec, obs)
-        edges = list(accumulate(prob for _, prob, _ in branches))
-        born = vec._born = (key, branches, edges, [None] * len(branches))
+        born = vec._born = (key, branches, list(accumulate(prob for _, prob, _ in branches)))
     return born[1:]
-
-
-def _post_state(branches, built, idx: int) -> StateVector:
-    """Branch ``idx``'s post state, made on first use and then shared."""
-    post = built[idx]
-    if post is None:
-        post = built[idx] = branches[idx][2]()
-    return post
 
 
 def measure_spin(
@@ -212,11 +175,8 @@ def measure_spin(
     renormalized and stays in the input's sector exactly (projection never
     touches species labels).
     """
-    branches, _, built = _distribution(registry, vec, obs)
-    return [
-        MeasurementRecord(outcome=outcome, probability=prob, post_state=_post_state(branches, built, idx))
-        for idx, (outcome, prob, _) in enumerate(branches)
-    ]
+    branches, _ = _distribution(registry, vec, obs)
+    return [MeasurementRecord(*branch) for branch in branches]
 
 
 def sample_measurements(
@@ -224,20 +184,17 @@ def sample_measurements(
 ) -> list[MeasurementRecord]:
     """One record per seed, drawn from the measure_spin distribution.
 
-    The distribution is the one kept on the vector, and each drawn branch is
-    normalized once per distribution. Seed ``s`` draws
+    The distribution is the one kept on the vector, so every record of one
+    outcome shares that outcome's post state. Seed ``s`` draws
     ``u = default_rng(s).random() * total`` against the running sums of the
     probabilities and takes the first outcome whose sum exceeds ``u``.
     """
-    branches, edges, built = _distribution(registry, vec, obs)
+    branches, edges = _distribution(registry, vec, obs)
     records = []
     for seed in seeds:
         u = np.random.default_rng(seed).random() * edges[-1]
         idx = min(bisect_right(edges, u), len(branches) - 1)
-        outcome, prob, _ = branches[idx]
-        records.append(
-            MeasurementRecord(outcome=outcome, probability=prob, post_state=_post_state(branches, built, idx))
-        )
+        records.append(MeasurementRecord(*branches[idx]))
     return records
 
 

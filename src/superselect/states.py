@@ -367,11 +367,18 @@ def state_to_dict(vec: StateVector) -> dict:
 
 
 def _amplitude_part(entry: dict, key: str) -> float:
+    """A term's ``re`` or ``im`` as a finite float: a number, not a string or a
+    bool (which ``float`` would read), and not an int past the float range."""
     value = entry.get(key, 0.0)
-    try:
-        part = float(value)
-    except (TypeError, ValueError):
+    if type(value) is float:
+        part = value
+    elif isinstance(value, (str, bool)):
         part = math.nan  # reported below like any non-finite value
+    else:
+        try:
+            part = float(value)
+        except (TypeError, ValueError, OverflowError):
+            part = math.nan
     if not math.isfinite(part):
         raise ConfigurationError(f"state field {key!r} must be a finite number, got {value!r}")
     return part

@@ -217,6 +217,12 @@ def test_every_builtin_registry_loads(tmp_path):
         assert load_registry(str(path)).to_dict() == reg.to_dict()
 
 
+def test_a_charge_spec_without_a_unit_loads_with_an_empty_unit():
+    doc = electron_positron_registry(1).to_dict()
+    del doc["charge_specs"][0]["unit"]
+    assert SpeciesRegistry.from_dict(doc).charge_specs[0].unit == ""
+
+
 
 def _without_charges(doc):
     del doc["species"][0]["charges"]
@@ -230,8 +236,10 @@ def _without_charges(doc):
     (_without_charges, "registry field 'charges' is missing"),
     (lambda doc: doc["species"][0].update(charges=5) or doc,
      "registry field 'charges' must be a list, got 5"),
+    (lambda doc: doc["charge_specs"][0].update(unit=None) or doc,
+     "registry field 'unit' must be a string, got None"),
 ], ids=["document-not-object", "species-not-list", "charge-spec-not-object", "charges-missing",
-        "charges-not-list"])
+        "charges-not-list", "unit-not-string"])
 def test_malformed_registry_shape_is_one_line_naming_the_field(tmp_path, capsys, breaking, message):
     path = tmp_path / "shape.json"
     path.write_text(json.dumps(breaking(electron_positron_registry(1).to_dict())))

@@ -509,6 +509,10 @@ _HUGE = {"n": 2, "terms": [{**_TERM, "re": 1e308, "im": 1e308}]}
     (("validate",), {"n": 2, "terms": {"0": _TERM}}, "'terms'"),
     (("validate",), {"n": 2, "terms": [{**_TERM, "re": math.inf}]}, "'re'"),
     (("validate",), {"n": 2, "terms": [{**_TERM, "im": math.nan}]}, "'im'"),
+    # float() would read these as 1.0 and raise OverflowError on the last
+    (("validate",), {"n": 2, "terms": [{**_TERM, "re": "1"}]}, "state field 're' must be a finite number"),
+    (("validate",), {"n": 2, "terms": [{**_TERM, "re": True}]}, "state field 're' must be a finite number"),
+    (("validate",), {"n": 2, "terms": [{**_TERM, "im": 10**400}]}, "state field 'im' must be a finite number"),
     ((*_GAUGE, "nan"), _VALID, "theta"),
     ((*_GAUGE, "inf"), _VALID, "theta"),
     # |a| ** 2 overflows: the norm reads inf and is refused
@@ -516,8 +520,8 @@ _HUGE = {"n": 2, "terms": [{**_TERM, "re": 1e308, "im": 1e308}]}
     (("measure", "--register", "0"), _HUGE, "state is not normalized (norm inf)"),
     (("validate", "--normalize"), _HUGE, "cannot normalize a state whose norm is beyond"),
 ], ids=["no-labels", "re-not-number", "terms-object", "re-infinite", "im-nan",
-        "theta-nan", "theta-inf", "entangle-norm-overflow", "measure-norm-overflow",
-        "normalize-norm-overflow"])
+        "re-numeric-string", "re-bool", "im-int-past-float", "theta-nan", "theta-inf",
+        "entangle-norm-overflow", "measure-norm-overflow", "normalize-norm-overflow"])
 def test_malformed_input_exits_1_naming_the_field(capsys, workdir, command, document, field):
     path = workdir / "malformed.json"
     path.write_text(json.dumps(document))  # non-finite floats become Infinity / NaN

@@ -77,6 +77,14 @@ def test_measurement_on_spin_eigenstate_is_trivial():
     assert records[0].outcome == 1
     assert records[0].probability == pytest.approx(1.0, abs=1e-12)
     assert records[0].post_state == vec
+    # (|0> + |1>)/sqrt(2) on register 0 in the Hadamard basis: both terms project
+    # onto the same two states, and outcome 1's amplitudes cancel below the prune tolerance
+    plus = StateVector({B(("e-", 0), ("e+", 1)): ROOT_HALF, B(("e-", 1), ("e+", 1)): ROOT_HALF})
+    hadamard = np.array([[1, 1], [1, -1]]) * ROOT_HALF
+    obs = SpinObservable(0, {"e-": hadamard, "e+": hadamard})
+    records = measure_spin(reg, plus, obs)
+    assert [r.outcome for r in records] == [0]
+    assert [record_bits(r) for r in records] == [record_bits(r) for r in reference_measure_spin(reg, plus, obs)]
 
 
 def test_spinless_state_has_single_trivial_outcome():
@@ -218,12 +226,22 @@ def measured_states(draw):
     sector = draw(st.sampled_from(sectors))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     basis = sector_basis(registry, n, sector)
-    size = int(rng.integers(1, min(len(basis), 8) + 1))
-    picks = rng.choice(len(basis), size=size, replace=False)
-    amps = rng.normal(size=size) + 1j * rng.normal(size=size)
-    amps /= np.linalg.norm(amps)
-    vec = StateVector({basis[i]: a for i, a in zip(picks, amps)})
     register = draw(st.integers(0, n - 1))
+    picks = rng.choice(len(basis), size=int(rng.integers(1, min(len(basis), 8) + 1)), replace=False)
+    states = [basis[i] for i in picks]
+    if draw(st.booleans()):
+        # every sector state that differs from the first term only in the measured
+        # spin: the terms whose projections merge under a rotated observable
+        first = states[0].labels
+        states += [
+            b for b in basis
+            if b.labels[register].species_id == first[register].species_id
+            and b.labels[:register] + b.labels[register + 1:] == first[:register] + first[register + 1:]
+        ]
+    states = list(dict.fromkeys(states))
+    amps = rng.normal(size=len(states)) + 1j * rng.normal(size=len(states))
+    amps /= np.linalg.norm(amps)
+    vec = StateVector(dict(zip(states, amps)))
     if draw(st.booleans()):
         obs = haar_observable(rng, registry, register)
     else:
