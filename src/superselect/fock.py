@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import NamedTuple
+from operator import attrgetter, eq
+from typing import Collection, Iterator, NamedTuple
 
 from .charges import ChargeVector, Species, SpeciesRegistry
 from .errors import ConfigurationError, DomainError
@@ -59,15 +60,11 @@ def validate_label(registry: SpeciesRegistry, label: RegisterLabel) -> Species:
     """The label's species, after checking that its spin index is in range."""
     species = registry.get(label.species_id)
     if not 0 <= label.spin < species.spin_multiplicity:
-        raise _spin_range_error(label, species.spin_multiplicity)
+        raise DomainError(
+            f"spin index {label.spin} out of range for species {label.species_id!r} "
+            f"(multiplicity {species.spin_multiplicity})"
+        )
     return species
-
-
-def _spin_range_error(label: RegisterLabel, multiplicity: int) -> DomainError:
-    return DomainError(
-        f"spin index {label.spin} out of range for species {label.species_id!r} "
-        f"(multiplicity {multiplicity})"
-    )
 
 
 def _arity_error(arity: int, charges: tuple[int, ...]) -> ConfigurationError:
@@ -87,14 +84,16 @@ def enumerate_basis(registry: SpeciesRegistry, n: int) -> list[BasisState]:
     """All (species x spin) assignments over ``n`` registers in canonical order."""
     if n < 1:
         raise ConfigurationError(f"register count must be >= 1, got {n}")
-    alphabet = register_alphabet(registry)
-    # an alphabet of two or more labels passes the limit within bit_length
-    # registers, so capping the exponent keeps the comparison exact and cheap
-    if len(alphabet) ** min(n, MAX_PRODUCT_STATES.bit_length()) > MAX_PRODUCT_STATES:
+    # the alphabet's size by arithmetic, so an oversized one is refused before
+    # it is built; an alphabet of two or more labels passes the limit within
+    # bit_length registers, so capping the exponent keeps the comparison exact
+    size = sum(max(registry.get(sid).spin_multiplicity, 0) for sid in registry.species_ids)
+    if size ** min(n, MAX_PRODUCT_STATES.bit_length()) > MAX_PRODUCT_STATES:
         raise ConfigurationError(
-            f"refusing to enumerate {len(alphabet)}**{n} product states "
-            f"(n={n}, alphabet size {len(alphabet)}): the limit is {MAX_PRODUCT_STATES}"
+            f"refusing to enumerate {size}**{n} product states "
+            f"(n={n}, alphabet size {size}): the limit is {MAX_PRODUCT_STATES}"
         )
+    alphabet = register_alphabet(registry)
     return [BasisState(labels) for labels in itertools.product(alphabet, repeat=n)]
 
 
@@ -109,53 +108,51 @@ def total_charge(registry: SpeciesRegistry, state: BasisState) -> ChargeVector:
     return ChargeVector(tuple(total))
 
 
-class SpeciesTable:
-    """One call's species lookup: species id -> (spin multiplicity, gauged charges).
+class _Column(dict):
+    """One charge component of each label's species, keyed by the label.
 
-    A row is filled on first sight of its species, and the table is made by
-    the call that uses it and dropped with it, so it never outlives a change
-    to the registry. ``sector_charges`` is the gauged part of ``total_charge``
-    and raises what it raises for the first bad label: unknown species, then
-    spin range, then charge arity.
+    An entry is filled on first sight of its label, after ``total_charge``'s
+    checks on it: unknown species, then spin range, then charge arity. With
+    no component (``index`` None) the entry is 0, so the column only checks.
     """
 
-    __slots__ = ("_registry", "_gauged", "_zero", "_rows")
+    __slots__ = ("registry", "index")
 
-    def __init__(self, registry: SpeciesRegistry):
-        self._registry = registry
-        self._gauged = registry.gauged_indices()
-        self._zero = (0,) * len(self._gauged)
-        self._rows: dict[str, tuple[int, tuple[int, ...] | None, tuple[int, ...]]] = {}
+    def __init__(self, registry: SpeciesRegistry, index: int | None):
+        super().__init__()
+        self.registry = registry
+        self.index = index
 
-    def _row(self, species_id: str):
-        species = self._registry.get(species_id)  # raises UnknownSpeciesError
-        charges = species.charges.components
-        gauged = (
-            tuple(charges[i] for i in self._gauged)
-            if len(charges) == self._registry.arity
-            else None  # refused after the label's spin check, as total_charge orders it
-        )
-        row = self._rows[species_id] = (species.spin_multiplicity, gauged, charges)
-        return row
+    def __missing__(self, label: RegisterLabel) -> int:
+        charges = validate_label(self.registry, label).charges.components
+        if len(charges) != self.registry.arity:
+            raise _arity_error(self.registry.arity, charges)
+        value = self[label] = 0 if self.index is None else charges[self.index]
+        return value
 
-    def sector_charges(self, state: BasisState) -> tuple[int, ...]:
-        """The gauged net charge of one basis state, as a plain tuple."""
-        picked = [self._zero]
-        for label in state.labels:
-            multiplicity, gauged, charges = (
-                self._rows.get(label.species_id) or self._row(label.species_id)
-            )
-            if not 0 <= label.spin < multiplicity:
-                raise _spin_range_error(label, multiplicity)
-            if gauged is None:
-                raise _arity_error(self._registry.arity, charges)
-            picked.append(gauged)
-        return tuple(map(sum, zip(*picked)))
+
+def sectors(registry: SpeciesRegistry, states: Collection[BasisState]) -> Iterator[tuple[int, ...]]:
+    """The gauged net charge of each of ``states`` as a plain tuple, lazily in order.
+
+    Each gauged component is one ``_Column``, made by this call and dropped
+    with it, and a state's charge in it is one ``sum`` over its labels, so
+    ``states`` is iterated once per component. The first column sees every
+    label first, so the first bad label, in state order and then register
+    order, raises what ``total_charge`` raises for it. With no gauged
+    component every label is still checked, giving ``()``.
+    """
+    gauged = registry.gauged_indices()
+    sums = zip(*(
+        map(sum, map(map, itertools.repeat(_Column(registry, i).__getitem__),
+                     map(attrgetter("labels"), states)))
+        for i in gauged or (None,)
+    ))
+    return sums if gauged else (() for _ in sums)
 
 
 def state_sector(registry: SpeciesRegistry, state: BasisState) -> SectorIndex:
     """The gauged net charge of one basis state."""
-    return SectorIndex(SpeciesTable(registry).sector_charges(state))
+    return SectorIndex(next(sectors(registry, [state])))
 
 
 def _coerce_sector(registry: SpeciesRegistry, sector) -> SectorIndex:
@@ -172,12 +169,11 @@ def _coerce_sector(registry: SpeciesRegistry, sector) -> SectorIndex:
 def sector_basis(registry: SpeciesRegistry, n: int, sector) -> list[BasisState]:
     """The sublist of ``enumerate_basis`` with gauged net charge equal to ``sector``."""
     target = _coerce_sector(registry, sector).gauged_charges
-    table = SpeciesTable(registry)
-    return [b for b in enumerate_basis(registry, n) if table.sector_charges(b) == target]
+    basis = enumerate_basis(registry, n)
+    kept = map(eq, sectors(registry, basis), itertools.repeat(target))
+    return list(itertools.compress(basis, kept))
 
 
 def attained_sectors(registry: SpeciesRegistry, n: int) -> list[SectorIndex]:
     """Sorted list of the sectors attained by some basis state."""
-    table = SpeciesTable(registry)
-    charges = {table.sector_charges(b) for b in enumerate_basis(registry, n)}
-    return [SectorIndex(q) for q in sorted(charges)]
+    return [SectorIndex(q) for q in sorted(set(sectors(registry, enumerate_basis(registry, n))))]

@@ -28,6 +28,9 @@ from .states import (
 )
 
 UNITARITY_TOL = 1e-10
+#: Largest spin multiplicity ``spin_z_observable`` builds a basis for: one
+#: m x m complex basis at m = 4096 takes 256 MiB.
+MAX_SPIN_BASIS_DIM = 4096
 
 
 @dataclass
@@ -66,10 +69,15 @@ class SpinObservable:
 
 
 def spin_z_observable(registry: SpeciesRegistry, register: int) -> SpinObservable:
-    """The computational spin basis (identity matrix) for every registry species."""
-    bases = {
-        s.id: np.eye(s.spin_multiplicity, dtype=complex) for s in registry.species
-    }
+    """The computational spin basis (identity matrix) for every registry species;
+    a multiplicity above ``MAX_SPIN_BASIS_DIM`` is refused before any is built."""
+    for s in registry.species:
+        if s.spin_multiplicity > MAX_SPIN_BASIS_DIM:
+            raise ConfigurationError(
+                f"refusing to build a spin basis for species {s.id!r} "
+                f"(multiplicity {s.spin_multiplicity}): the limit is {MAX_SPIN_BASIS_DIM}"
+            )
+    bases = {s.id: np.eye(s.spin_multiplicity, dtype=complex) for s in registry.species}
     return SpinObservable(register=register, bases=bases)
 
 

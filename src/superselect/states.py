@@ -23,7 +23,7 @@ import numpy as np
 
 from .charges import GAUGED, SpeciesRegistry, json_document
 from .errors import ConfigurationError, DomainError, ShapeError, SuperselectionError
-from .fock import BasisState, RegisterLabel, SectorIndex, SpeciesTable, validate_label
+from .fock import BasisState, RegisterLabel, SectorIndex, sectors, validate_label
 
 #: Amplitudes with magnitude below this are dropped from term maps.
 PRUNE_TOL = 1e-12
@@ -221,12 +221,12 @@ class SectorDecomposition:
         return {q: w for q, (_, w) in sorted(self.parts.items())}
 
 
-def _sector_groups(vec: StateVector, sectors) -> list[tuple[SectorIndex, dict, float]]:
-    """The state's terms grouped by ``sectors`` (each term's gauged charges, in
+def _sector_groups(vec: StateVector, charges) -> list[tuple[SectorIndex, dict, float]]:
+    """The state's terms grouped by ``charges`` (each term's gauged charges, in
     term order), in sorted sector order: each sector, its terms in term order
     and their squared norm, summed in that order."""
     groups: dict[tuple[int, ...], dict[BasisState, complex]] = {}
-    for (state, amp), q in zip(vec.terms.items(), sectors):
+    for (state, amp), q in zip(vec.terms.items(), charges):
         groups.setdefault(q, {})[state] = amp
     return [
         (SectorIndex(q), terms, _squared_norm(terms.values())) for q, terms in sorted(groups.items())
@@ -235,8 +235,7 @@ def _sector_groups(vec: StateVector, sectors) -> list[tuple[SectorIndex, dict, f
 
 def sector_decompose(registry: SpeciesRegistry, vec: StateVector) -> SectorDecomposition:
     """Split a state into its charge-sector components; reassembly is exact."""
-    table = SpeciesTable(registry)
-    groups = _sector_groups(vec, [table.sector_charges(state) for state in vec.terms])
+    groups = _sector_groups(vec, sectors(registry, vec.terms))
     return SectorDecomposition({q: (StateVector(terms, n=vec.n), w) for q, terms, w in groups})
 
 
@@ -256,11 +255,10 @@ def validate_superselection(registry: SpeciesRegistry, vec: StateVector):
     carrying ``sector_decompose``'s weights, from the sectors computed here."""
     if vec.is_zero():
         raise DomainError("superselection is undefined for the zero state")
-    table = SpeciesTable(registry)
-    sectors = [table.sector_charges(state) for state in vec.terms]
-    if sectors.count(sectors[0]) == len(sectors):
-        return SectorIndex(sectors[0])
-    return SuperselectionReport({q: w for q, _, w in _sector_groups(vec, sectors)})
+    charges = list(sectors(registry, vec.terms))
+    if charges.count(charges[0]) == len(charges):
+        return SectorIndex(charges[0])
+    return SuperselectionReport({q: w for q, _, w in _sector_groups(vec, charges)})
 
 
 def require_single_sector(registry: SpeciesRegistry, vec: StateVector) -> SectorIndex:
@@ -278,8 +276,7 @@ def apply_u1_gauge(
 
     Only gauged components generate a phase action; naming a global component
     is a configuration error. Each term's charge is read through
-    ``SpeciesTable.sector_charges``, so a bad label raises what
-    ``total_charge`` raises.
+    ``fock.sectors``, so a bad label raises what ``total_charge`` raises.
     """
     if not math.isfinite(theta):
         raise ConfigurationError(f"gauge angle theta must be finite, got {theta!r}")
@@ -289,11 +286,9 @@ def apply_u1_gauge(
             f"charge component {component!r} is global; only gauged components generate a gauge action"
         )
     position = registry.gauged_indices().index(idx)
-    table = SpeciesTable(registry)
     new_terms = {}
-    for state, amp in vec.terms.items():
-        q = table.sector_charges(state)[position]
-        new_terms[state] = amp * cmath.exp(1j * q * theta)
+    for (state, amp), q in zip(vec.terms.items(), sectors(registry, vec.terms)):
+        new_terms[state] = amp * cmath.exp(1j * q[position] * theta)
     return StateVector(new_terms, n=vec.n)
 
 

@@ -109,6 +109,19 @@ def escaped_id_registry() -> SpeciesRegistry:
     )
 
 
+def huge_multiplicity_registry() -> SpeciesRegistry:
+    """e-/e+ with 10**30 spin states each: any code that walks or allocates
+    per spin state never returns, so only arithmetic on the multiplicities,
+    and lookups of the labels a state holds, can serve it."""
+    return SpeciesRegistry(
+        charge_specs=[ChargeComponentSpec("electric", GAUGED, "e")],
+        species=[
+            Species("e-", ChargeVector((-1,)), 10**30, "e+"),
+            Species("e+", ChargeVector((1,)), 10**30, "e-"),
+        ],
+    )
+
+
 # -- dense-tensor oracle --------------------------------------------------------
 
 def support_alphabets(vec: StateVector) -> list[list[RegisterLabel]]:

@@ -42,7 +42,7 @@ from superselect.states import (
     save_state,
 )
 
-from helpers import dyon_registry, random_sector_superposition
+from helpers import dyon_registry, huge_multiplicity_registry, random_sector_superposition
 
 
 @pytest.fixture(autouse=True)
@@ -573,6 +573,28 @@ def test_oversized_enumeration_exits_1(capsys, workdir, monkeypatch):
                          "--registers", "21", "--charge", "1", "--out", str(workdir / "b"))
     assert code == 1 and out == ""
     assert err.count("\n") == 1 and "n=21, alphabet size 2" in err and "1048576" in err
+
+
+@pytest.mark.parametrize("command, named", [
+    (("basis", "--registers", "2", "--charge", "0"), f"(n=2, alphabet size {2 * 10**30}): the limit is 1048576"),
+    (("measure", "--register", "0"), f"species 'e-' (multiplicity {10**30}): the limit is 4096"),
+], ids=["basis", "measure"])
+def test_oversized_multiplicity_exits_1_before_allocating(capsys, workdir, command, named):
+    # every species has 10**30 spin states: a sector check reads only the
+    # labels a state holds, while a request sized by the multiplicities is
+    # refused by arithmetic before anything of that size is built
+    save_registry(huge_multiplicity_registry(), str(workdir / "huge.json"))
+    pair = StateVector({BasisState((RegisterLabel("e-", 0), RegisterLabel("e+", 10**29))): 1.0})
+    save_state(pair, str(workdir / "pair.json"))
+    files = ("--registry", str(workdir / "huge.json"), "--state", str(workdir / "pair.json"))
+    code, out, err = run(capsys, "validate", *files)
+    assert code == 0 and "single-sector" in out and err == ""
+    if command[0] == "basis":
+        files = files[:2] + ("--out", str(workdir / "b"))
+    code, out, err = run(capsys, *command, *files)
+    assert code == 1 and out == ""
+    assert err.startswith("superselect: error: refusing to ") and err.endswith(named + "\n")
+    assert err.count("\n") == 1
 
 
 def test_oversized_cut_list_exits_1(capsys, workdir, monkeypatch):

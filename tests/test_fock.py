@@ -7,9 +7,10 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import superselect.fock as fock
-from superselect.charges import ChargeVector, Species, SpeciesRegistry
+from superselect.charges import GLOBAL, ChargeComponentSpec, ChargeVector, Species, SpeciesRegistry
 from superselect.errors import ConfigurationError, DomainError, UnknownSpeciesError
 from superselect.fock import (
     BasisState,
@@ -27,9 +28,9 @@ from superselect.scenarios import (
     electron_positron_registry,
     neutral_kaon_registry,
 )
-from superselect.states import StateVector, sector_decompose, validate_superselection
+from superselect.states import StateVector, apply_u1_gauge, sector_decompose, validate_superselection
 
-from helpers import dyon_registry, lepton_photon_registry, two_family_registry
+from helpers import dyon_registry, huge_multiplicity_registry, lepton_photon_registry, two_family_registry
 
 
 def B(*labels):
@@ -195,6 +196,7 @@ def test_sector_table_raises_what_total_charge_raises(first, second):
     assert want[0] in (UnknownSpeciesError, DomainError, ConfigurationError)
     assert _raised(validate_superselection, reg, vec) == want
     assert _raised(sector_decompose, reg, vec) == want
+    assert _raised(apply_u1_gauge, reg, vec, "electric", 0.5) == want
     assert _raised(state_sector, reg, _BAD_TERMS[first]) == want
 
 
@@ -207,11 +209,69 @@ def test_sector_enumeration_raises_what_total_charge_raises():
     assert _raised(attained_sectors, reg, 2) == want
 
 
-@pytest.mark.parametrize("reg", [two_family_registry(), dyon_registry(), color_toy_registry()])
-def test_sector_table_matches_state_sector(reg):
-    table = fock.SpeciesTable(reg)
-    for b in enumerate_basis(reg, 3) + [BasisState(())]:
-        assert SectorIndex(table.sector_charges(b)) == state_sector(reg, b)
+def _with_arity_mismatch(reg):
+    return SpeciesRegistry(reg.charge_specs, reg.species + [Species("x", ChargeVector((0,) * 3), 2, "x")])
+
+
+_SECTOR_REGISTRIES = [
+    _with_arity_mismatch(color_toy_registry()),  # one gauged component and one global
+    _with_arity_mismatch(dyon_registry()),  # two gauged components
+    _with_arity_mismatch(SpeciesRegistry(  # no gauged component
+        [ChargeComponentSpec("lepton", GLOBAL)],
+        [Species("l-", ChargeVector((1,)), 2, "l+"), Species("l+", ChargeVector((-1,)), 2, "l-")],
+    )),
+]
+
+
+@st.composite
+def labelled_states(draw):
+    """A registry and a few states of mixed lengths; with some draws, some
+    labels are bad: an unknown species, a spin out of range, or arity 3."""
+    reg = draw(st.sampled_from(_SECTOR_REGISTRIES))
+    good = st.sampled_from([l for l in fock.register_alphabet(reg) if l.species_id != "x"])
+    bad = st.sampled_from([RegisterLabel("nope", 0), RegisterLabel(reg.species[0].id, 7),
+                           RegisterLabel("x", 0), RegisterLabel("x", 2)])
+    label = st.one_of(good, good, good, bad) if draw(st.booleans()) else good
+    states = draw(st.lists(st.lists(label, max_size=4).map(tuple).map(BasisState), min_size=1, max_size=5))
+    return reg, states
+
+
+def _outcome(call, *args):
+    try:
+        return call(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _gauged_totals(reg, states):
+    totals = [total_charge(reg, s).components for s in states]
+    return [tuple(q[i] for i in reg.gauged_indices()) for q in totals]
+
+
+@settings(max_examples=150, deadline=None)
+@given(labelled_states())
+@example((_SECTOR_REGISTRIES[0], [B(("q_r", 0), ("qbar_g", 0)), B(("q_g", 0), ("nope", 0), ("x", 0))]))
+@example((_SECTOR_REGISTRIES[2], [B(("l-", 1)), B(("l+", 0), ("l+", 1)), B(("l-", 0), ("x", 2))]))
+def test_sectors_are_the_gauged_part_of_total_charge(case):
+    # with a bad label, the first one (state order, then register order)
+    # raises what total_charge raises for it, wherever its state is in the call
+    reg, states = case
+    want = _outcome(_gauged_totals, reg, states)
+    assert _outcome(lambda: list(fock.sectors(reg, states))) == want
+    if isinstance(want, list):
+        assert [state_sector(reg, s) for s in states] == [SectorIndex(q) for q in want]
+    else:
+        assert want[0] in (UnknownSpeciesError, DomainError, ConfigurationError)
+
+
+def test_sector_check_fills_its_columns_lazily():
+    # a column filled from the whole alphabet would never return here
+    reg = huge_multiplicity_registry()
+    vec = StateVector({B(("e-", 0), ("e+", 10**29)): 0.6, B(("e+", 5), ("e-", 10**30 - 1)): 0.8})
+    assert validate_superselection(reg, vec) == SectorIndex((0,))
+    assert state_sector(reg, B(("e+", 3), ("e+", 4))) == SectorIndex((2,))
+    with pytest.raises(DomainError, match=r"spin index 10{30} out of range for species 'e-'"):
+        validate_superselection(reg, StateVector({B(("e-", 10**30), ("e+", 0)): 1.0}))
 
 
 def test_total_charge_equals_fold_of_species_charges():
@@ -248,6 +308,18 @@ def test_enumeration_size_guard_refuses_before_enumerating(monkeypatch):
             enumerate_basis(reg, n)
     with pytest.raises(ConfigurationError, match="the limit is 16$"):
         sector_basis(reg, 5, (1,))
+
+
+def test_enumeration_size_guard_sizes_the_alphabet_before_building_it(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("alphabet built past the size limit")
+
+    monkeypatch.setattr(fock, "register_alphabet", refuse)
+    reg = huge_multiplicity_registry()
+    size = 2 * 10**30
+    for call, args in ((enumerate_basis, (reg, 1)), (sector_basis, (reg, 2, (0,))), (attained_sectors, (reg, 2))):
+        with pytest.raises(ConfigurationError, match=rf"\(n={args[1]}, alphabet size {size}\): the limit is 1048576$"):
+            call(*args)
 
 
 def test_enumeration_size_guard_at_the_default_limit(monkeypatch):

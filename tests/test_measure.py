@@ -12,12 +12,14 @@ from hypothesis import given, settings, strategies as st
 from helpers import (
     dyon_registry,
     haar_observable,
+    huge_multiplicity_registry,
     mixed_spin_registry,
     record_bits,
     reference_measure_spin,
     reference_sample_measurement,
     two_family_registry,
 )
+import superselect.measure as measure_module
 from superselect.charges import GAUGED, ChargeComponentSpec, ChargeVector, Species, SpeciesRegistry
 from superselect.entangle import all_bipartitions, schmidt
 from superselect.errors import (
@@ -157,6 +159,25 @@ def test_observable_must_be_unitary():
         SpinObservable(register=0, bases={"e-": np.array([[1.0, 0.0], [1.0, 0.0]])})
     with pytest.raises(ConfigurationError):
         SpinObservable(register=0, bases={"e-": np.ones((2, 3))})
+
+
+def test_spin_z_observable_refuses_an_oversized_multiplicity(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("spin basis built past the size limit")
+
+    assert measure_module.MAX_SPIN_BASIS_DIM == 4096
+    with monkeypatch.context() as patch:
+        patch.setattr(measure_module.np, "eye", refuse)
+        with pytest.raises(ConfigurationError, match=(
+            r"^refusing to build a spin basis for species 'e-' \(multiplicity 10{30}\): the limit is 4096$"
+        )):
+            spin_z_observable(huge_multiplicity_registry(), 0)
+    reg = mixed_spin_registry()  # multiplicities 2, 2, 3, 3 and 1
+    monkeypatch.setattr(measure_module, "MAX_SPIN_BASIS_DIM", 2)
+    with pytest.raises(ConfigurationError, match=r"species 'w-' \(multiplicity 3\): the limit is 2$"):
+        spin_z_observable(reg, 0)
+    monkeypatch.setattr(measure_module, "MAX_SPIN_BASIS_DIM", 3)  # exactly at the limit
+    assert spin_z_observable(reg, 0).outcome_count() == 3
 
 
 def test_observable_missing_species_rejected(hybrid_third):
