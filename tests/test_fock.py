@@ -264,6 +264,15 @@ def test_sectors_are_the_gauged_part_of_total_charge(case):
         assert want[0] in (UnknownSpeciesError, DomainError, ConfigurationError)
 
 
+@pytest.mark.parametrize("reg", [two_family_registry(), dyon_registry(), color_toy_registry()])
+def test_sector_table_matches_state_sector(reg):
+    # one call over the whole basis agrees with one call per state
+    basis = enumerate_basis(reg, 3) + [BasisState(())]
+    table = list(fock.sectors(reg, basis))
+    assert table == _gauged_totals(reg, basis)
+    assert [SectorIndex(q) for q in table] == [state_sector(reg, b) for b in basis]
+
+
 def test_sector_check_fills_its_columns_lazily():
     # a column filled from the whole alphabet would never return here
     reg = huge_multiplicity_registry()
