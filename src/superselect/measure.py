@@ -28,8 +28,8 @@ from .states import (
 )
 
 UNITARITY_TOL = 1e-10
-#: Largest spin multiplicity ``spin_z_observable`` builds a basis for: one
-#: m x m complex basis at m = 4096 takes 256 MiB.
+#: Largest spin multiplicity ``spin_z_observable`` accepts, the documented
+#: spin-z limit; its bases are ints, so nothing of size m^2 is built at any m.
 MAX_SPIN_BASIS_DIM = 4096
 
 
@@ -38,19 +38,25 @@ class SpinObservable:
     """A spin basis per species for one register.
 
     ``bases[species_id]`` is an (m x m) unitary whose *rows* are the outcome
-    vectors in that species' spin space. Outcome k projects, within each
+    vectors in that species' spin space, or a positive ``int`` m: the
+    computational basis, which needs no array. Outcome k projects, within each
     species block, onto row k of that species' basis; species with fewer than
     k+1 spin states simply do not contribute to outcome k.
     """
 
     register: int
-    bases: dict[str, np.ndarray]
+    bases: dict[str, np.ndarray | int]
 
     def __post_init__(self):
         if not self.bases:
             raise ConfigurationError("observable bases is empty: it needs a spin basis per species")
         clean = {}
         for sid, mat in self.bases.items():
+            if type(mat) is int and mat >= 0:
+                if mat == 0:
+                    raise ConfigurationError(f"spin basis for {sid!r} is empty (0x0)")
+                clean[sid] = mat
+                continue
             mat = np.asarray(mat, dtype=complex)
             if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
                 raise ConfigurationError(f"spin basis for {sid!r} must be square")
@@ -65,20 +71,19 @@ class SpinObservable:
         self.bases = clean
 
     def outcome_count(self) -> int:
-        return max(mat.shape[0] for mat in self.bases.values())
+        return max(m if type(m) is int else len(m) for m in self.bases.values())
 
 
 def spin_z_observable(registry: SpeciesRegistry, register: int) -> SpinObservable:
-    """The computational spin basis (identity matrix) for every registry species;
-    a multiplicity above ``MAX_SPIN_BASIS_DIM`` is refused before any is built."""
+    """The computational spin basis, as its multiplicity m, for every registry
+    species; a multiplicity above ``MAX_SPIN_BASIS_DIM`` is refused."""
     for s in registry.species:
         if s.spin_multiplicity > MAX_SPIN_BASIS_DIM:
             raise ConfigurationError(
                 f"refusing to build a spin basis for species {s.id!r} "
                 f"(multiplicity {s.spin_multiplicity}): the limit is {MAX_SPIN_BASIS_DIM}"
             )
-    bases = {s.id: np.eye(s.spin_multiplicity, dtype=complex) for s in registry.species}
-    return SpinObservable(register=register, bases=bases)
+    return SpinObservable(register=register, bases={s.id: s.spin_multiplicity for s in registry.species})
 
 
 @dataclass
@@ -89,12 +94,14 @@ class MeasurementRecord:
 
 
 def _branches(registry: SpeciesRegistry, vec: StateVector, obs: SpinObservable):
-    """Admit ``vec`` once and project it on every outcome of ``obs``, term by term.
+    """Admit ``vec`` and project it on every outcome of ``obs`` in one pass over its terms.
 
     Returns ``(outcome, probability, post_state)`` for every outcome whose
-    projection survives pruning, in outcome order. Each outcome's projection
-    is one dict keyed by the projected BasisState, filled in term order and
-    then new-spin order, and pruned at ``PRUNE_TOL``; its probability is the
+    projection survives pruning, in outcome order. A term reaches the nonzero
+    entries of its spin's basis column, then those of each reached outcome's
+    row (an int basis has a single 1 in each). Each outcome's projection is
+    one dict keyed by the projected BasisState, filled in term order and then
+    new-spin order, and pruned at ``PRUNE_TOL``; its probability is the
     squared norm of the kept amplitudes and its post state those amplitudes
     scaled by the inverse norm, as ``normalize`` scales a built branch.
     """
@@ -104,41 +111,46 @@ def _branches(registry: SpeciesRegistry, vec: StateVector, obs: SpinObservable):
     if not 0 <= r < n:
         raise DomainError(f"register {r} out of range for n={n}")
 
-    blocks: dict[str, tuple] = {}  # species -> rows, conjugated rows, m
-    terms = []
-    for state, amp in vec.terms.items():
-        label = state.labels[r]
-        sid = label.species_id
-        block = blocks.get(sid)
-        if block is None:
-            basis = obs.bases.get(sid)
-            if basis is None:
-                raise ConfigurationError(f"observable has no spin basis for species {sid!r}")
-            block = blocks[sid] = (basis.tolist(), basis.conj().tolist(), basis.shape[0])
-        if label.spin >= block[2]:
-            raise DomainError(f"spin index {label.spin} outside the {block[2]}-dim basis for {sid!r}")
-        terms.append((state, label, amp, block))
+    lines: dict[tuple, list] = {}  # (species, 0, column) or (species, 1, row) -> nonzero (index, entry)
 
-    branches = []
-    for outcome in range(obs.outcome_count()):
-        projected: dict[BasisState, complex] = {}
-        for state, (sid, spin), amp, (rows, conj_rows, m) in terms:
-            if outcome >= m:
-                continue  # this species block has no such outcome
-            overlap = conj_rows[outcome][spin] * amp
+    def line(sid, basis, axis, index):
+        key = (sid, axis, index)
+        if key not in lines:
+            if type(basis) is int:  # one entry 1 + 0j, conjugated to 1 - 0j in a column
+                lines[key] = [(index, (1 + 0j).conjugate() if axis == 0 else 1 + 0j)]
+            else:
+                entries = (basis[:, index].conj() if axis == 0 else basis[index]).tolist()
+                lines[key] = [(k, e) for k, e in enumerate(entries) if e != 0]
+        return lines[key]
+
+    projected: dict[int, dict[BasisState, complex]] = {}
+    for state, amp in vec.terms.items():
+        labels = state.labels
+        sid, spin = labels[r]
+        basis = obs.bases.get(sid)
+        if basis is None:
+            raise ConfigurationError(f"observable has no spin basis for species {sid!r}")
+        m = basis if type(basis) is int else len(basis)
+        if spin >= m:
+            raise DomainError(f"spin index {spin} outside the {m}-dim basis for {sid!r}")
+        for outcome, conj_entry in line(sid, basis, 0, spin):
+            overlap = conj_entry * amp
             if overlap == 0:
                 continue
-            for new_spin, entry in enumerate(rows[outcome]):
+            branch = projected.setdefault(outcome, {})
+            for new_spin, entry in line(sid, basis, 1, outcome):
                 coef = entry * overlap
                 if coef == 0:
                     continue
                 if new_spin == spin:
                     key = state
                 else:
-                    labels = state.labels
                     key = BasisState(labels[:r] + (RegisterLabel(sid, new_spin),) + labels[r + 1:])
-                projected[key] = projected.get(key, 0j) + coef
-        kept = [(state, amp) for state, amp in projected.items() if abs(amp) >= PRUNE_TOL]
+                branch[key] = branch.get(key, 0j) + coef
+
+    branches = []
+    for outcome in sorted(projected):
+        kept = [(state, amp) for state, amp in projected[outcome].items() if abs(amp) >= PRUNE_TOL]
         if kept:
             norm = amplitude_norm(amp for _, amp in kept)
             branches.append((outcome, norm ** 2, scale_pairs(1.0 / norm, kept, n)))
@@ -153,18 +165,21 @@ def _distribution(registry: SpeciesRegistry, vec: StateVector, obs: SpinObservab
     vector (its one-entry ``_born`` slot), under a key that snapshots
     everything ``_branches`` reads besides the immutable vector: the
     registry's charge specs and species-by-id table, and the observable's
-    register and basis bits. Registry lists and observable arrays can change
-    in place, so the key is compared on every call, and an unequal key
-    recomputes. A call that raises stores nothing. The entry holds no
+    register and bases, an int basis as ``(species, m)`` and an array basis as
+    its species, shape, dtype and bytes. Registry lists and observable arrays
+    can change in place, so the key is compared on every call, and an unequal
+    key recomputes. A call that raises stores nothing. The entry holds no
     reference back to its vector, so it dies with it.
     """
     require_indices([obs.register], "register")  # before the key: True == 1
-    bases = ((sid, np.asarray(mat)) for sid, mat in obs.bases.items())
     key = (
         tuple(registry.charge_specs),
         tuple(registry._by_id.items()),
         obs.register,
-        tuple((sid, mat.shape, mat.dtype, mat.tobytes()) for sid, mat in bases),
+        tuple(
+            (sid, mat) if type(mat) is int else (sid, mat.shape, mat.dtype, mat.tobytes())
+            for sid, mat in obs.bases.items()
+        ),
     )
     born = vec._born
     if born is None or born[0] != key:

@@ -331,6 +331,8 @@ def reference_measure_spin(registry, vec: StateVector, obs: SpinObservable):
                 raise ConfigurationError(
                     f"observable has no spin basis for species {label.species_id!r}"
                 )
+            if type(basis) is int:  # the m-dimensional computational basis
+                basis = np.eye(basis, dtype=complex)
             m = basis.shape[0]
             if label.spin >= m:
                 raise DomainError(

@@ -4,6 +4,8 @@ import copy
 import gc
 import math
 import pickle
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -347,6 +349,7 @@ def _error_cases():
     eye = {"e-": np.eye(2), "e+": np.eye(2)}
     a, b = B(("e-", 1), ("e+", 0)), B(("e+", 0), ("e-", 1))
     small = SpinObservable(0, {"e-": np.eye(1)})
+    small_int = SpinObservable(0, {"e-": 1})
     return {
         # norm first, even on a cross-sector state with a register out of range
         "unnormalized": (reg, StateVector({B(("e-", 0), ("e-", 1)): 2.0}), spin_z_observable(reg, 7)),
@@ -360,6 +363,11 @@ def _error_cases():
         "first_term_spin_not_below_m": (reg, StateVector({a: ROOT_HALF, b: ROOT_HALF}), small),
         "first_term_no_basis": (reg, StateVector({b: ROOT_HALF, a: ROOT_HALF}), small),
         "unknown_species": (reg, StateVector({B(("e-", 0), ("mu", 0)): 1.0}), z),
+        # the same faults with int (computational) bases
+        "int_spin_not_below_m": (reg, spin_one, SpinObservable(0, {"e-": 1, "e+": 2})),
+        "int_no_basis_second_term": (reg, single, SpinObservable(0, {"e-": 2})),
+        "int_first_term_spin_not_below_m": (reg, StateVector({a: ROOT_HALF, b: ROOT_HALF}), small_int),
+        "int_first_term_no_basis": (reg, StateVector({b: ROOT_HALF, a: ROOT_HALF}), small_int),
     }
 
 
@@ -390,12 +398,25 @@ def test_measurement_error_messages_name_the_fault():
     assert _raised(measure_spin, *cases["spin_not_below_m"]) == (
         DomainError, "spin index 1 outside the 1-dim basis for 'e-'"
     )
+    assert _raised(measure_spin, *cases["int_spin_not_below_m"]) == (
+        DomainError, "spin index 1 outside the 1-dim basis for 'e-'"
+    )
 
 
 def test_observable_rejects_non_finite_entries():
     for bad in (math.nan, math.inf):
         with pytest.raises(ConfigurationError, match="non-finite"):
             SpinObservable(register=0, bases={"e-": np.array([[1.0, 0.0], [0.0, bad]])})
+
+
+def test_int_bases_are_positive_ints():
+    obs = SpinObservable(register=0, bases={"e-": 2, "e+": np.eye(2)})
+    assert obs.bases["e-"] == 2 and obs.outcome_count() == 2
+    assert type(obs.bases["e+"]) is np.ndarray and obs.bases["e+"].dtype == complex
+    refusals = [(0, "is empty (0x0)"), (True, "must be square"), (-1, "must be square"), (2.0, "must be square")]
+    for bad, message in refusals:
+        with pytest.raises(ConfigurationError, match=r"^spin basis for 'e-' " + re.escape(message) + "$"):
+            SpinObservable(register=0, bases={"e-": bad})
 
 
 def test_observable_with_no_bases_is_a_configuration_error(hybrid_third):
@@ -435,6 +456,12 @@ def _edit_basis_in_place(registry, obs):
     return registry
 
 
+def _replace_int_basis_with_an_array(registry, obs):
+    # the order-3 complex Hadamard (Fourier) matrix in place of the int 3
+    obs.bases["w-"] = np.exp(2j * np.pi * np.outer(range(3), range(3)) / 3) / math.sqrt(3)
+    return registry
+
+
 def _reassign_register(registry, obs):
     obs.register = 1
     return registry
@@ -457,7 +484,14 @@ def _other_registry(registry, obs):
 
 
 @pytest.mark.parametrize(
-    "change", [_edit_basis_in_place, _reassign_register, _append_charge_spec, _other_registry]
+    "change",
+    [
+        _edit_basis_in_place,
+        _replace_int_basis_with_an_array,
+        _reassign_register,
+        _append_charge_spec,
+        _other_registry,
+    ],
 )
 def test_a_changed_registry_or_observable_is_never_answered_from_the_kept_distribution(change):
     registry = mixed_spin_registry()
@@ -467,6 +501,7 @@ def test_a_changed_registry_or_observable_is_never_answered_from_the_kept_distri
         B(("e-", 1), ("w+", 0)): math.sqrt(1 / 2),
     })
     obs = spin_z_observable(registry, 0)
+    obs.bases["e-"] = np.eye(2, dtype=complex)  # an explicit array, which can be edited in place
     before = _kept(registry, vec, obs)
     assert before == _reference(registry, vec, obs)
     assert vec._born is not None
@@ -519,3 +554,43 @@ def test_sampled_vectors_are_freed_without_the_cycle_collector():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+# -- spin-z is its multiplicities ---------------------------------------------------
+
+def _spin_z_pair(m):
+    """e± at multiplicity m and a two-term sector-0 state with spins 0 and m - 1."""
+    reg = electron_positron_registry(m)
+    vec = StateVector({B(("e-", 0), ("e+", m - 1)): 0.6, B(("e+", m - 1), ("e-", 0)): 0.8})
+    return reg, vec
+
+
+def test_spin_z_at_the_limit_builds_no_identity(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.eye called on the spin-z path")
+
+    monkeypatch.setattr(measure_module.np, "eye", refuse)
+    reg, vec = _spin_z_pair(measure_module.MAX_SPIN_BASIS_DIM)
+    obs = spin_z_observable(reg, 0)
+    assert obs.bases == {"e-": 4096, "e+": 4096}
+    records = measure_spin(reg, vec, obs)
+    assert [r.outcome for r in records] == [0, 4095]
+    assert [r.probability for r in records] == pytest.approx([0.36, 0.64], abs=1e-12)
+    assert sample_measurement(reg, vec, obs, 7) in records
+
+
+def test_vectors_measured_in_spin_z_keep_no_basis_bytes():
+    reg, _ = _spin_z_pair(1024)
+    obs = spin_z_observable(reg, 0)
+    vectors = [_spin_z_pair(1024)[1] for _ in range(6)]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for seed, vec in enumerate(vectors):
+            measure_spin(reg, vec, obs)
+            sample_measurement(reg, vec, obs, seed)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert all(vec._born is not None for vec in vectors)
+    assert kept < 2**20
