@@ -42,7 +42,7 @@ from .charges import SpeciesRegistry
 from .entangle import CutPlan, every_cut_entangled
 from .errors import DomainError, SimulatorError
 from .fock import BasisState, SectorIndex, sector_basis
-from .states import StateVector, coordinate_matrix, from_coordinates
+from .states import StateVector, coordinate_matrix
 
 ORTHO_TOL = 1e-9
 SPAN_TOL = 1e-8
@@ -108,12 +108,13 @@ def build_packaged_entangled_basis(
 
     # seed pair k sits in columns 2k, 2k+1; the odd leftover in column d-1
     cols = np.zeros((d, d), dtype=complex)
-    seed_kind = []
     root_half = 1.0 / math.sqrt(2.0)
-    for k in range(d // 2):
-        cols[[k, d - 1 - k], 2 * k] = root_half, root_half
-        cols[[k, d - 1 - k], 2 * k + 1] = root_half, -root_half
-        seed_kind += ["pair_plus", "pair_minus"]
+    pair = np.arange(d // 2)
+    cols[pair, 2 * pair] = root_half
+    cols[d - 1 - pair, 2 * pair] = root_half
+    cols[pair, 2 * pair + 1] = root_half
+    cols[d - 1 - pair, 2 * pair + 1] = -root_half
+    seed_kind = ["pair_plus", "pair_minus"] * (d // 2)
     if d % 2:
         cols[d // 2, d - 1] = 1.0
         seed_kind.append("leftover")
@@ -154,7 +155,15 @@ def build_packaged_entangled_basis(
         {"index": k, "seed": seed_kind[k], "entangled": status[k], "repairs": logs[k]}
         for k in range(d)
     ]
-    vectors = [from_coordinates(cols[:, k], product_basis) for k in range(d)]
+    # one scan of the nonzero coordinates, column by column, in row order
+    ks, rows = np.nonzero(cols.T)
+    amps = cols.T[ks, rows].tolist()
+    states = [product_basis[i] for i in rows.tolist()]
+    ends = np.cumsum(np.bincount(ks, minlength=d)).tolist()
+    vectors = [
+        StateVector._from_pairs(zip(states[start:end], amps[start:end]), product_basis[0].n)
+        for start, end in zip([0] + ends, ends)
+    ]
     return EntangledBasis(
         vectors=vectors,
         sector=sector,

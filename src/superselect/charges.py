@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import io
 import json
+import os
 from dataclasses import dataclass
 
 from .errors import ConfigurationError, UnknownSpeciesError
@@ -256,8 +257,23 @@ def validate_registry(registry: SpeciesRegistry) -> list[str]:
 
 
 def save_registry(registry: SpeciesRegistry, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(registry.to_dict(), indent=2, sort_keys=True) + "\n")
+    _write_text(path, json.dumps(registry.to_dict(), indent=2, sort_keys=True) + "\n")
+
+
+def _write_text(path: str, text: str) -> None:
+    """Make ``text``, encoded as UTF-8, the whole file at ``path``: the file
+    ``open(path, "w", encoding="utf-8")`` would write, created with mode 0o666
+    under the umask or truncated, and an ``OSError`` naming ``path`` where
+    ``open`` raises one. Every writer formats its full text first, so a refused
+    field leaves no file; the bytes go in one ``os.write``, repeated only over
+    a short write."""
+    data = memoryview(text.encode("utf-8"))
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    try:
+        while data:
+            data = data[os.write(fd, data):]
+    finally:
+        os.close(fd)
 
 
 def json_document(data: bytes, path: str):

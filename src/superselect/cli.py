@@ -14,7 +14,7 @@ from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .builder import build_packaged_entangled_basis, check_basis
-from .charges import registry_from_bytes
+from .charges import _write_text, registry_from_bytes
 from .entangle import (
     Bipartition,
     _cut_members,
@@ -29,6 +29,7 @@ from .fock import SectorIndex
 from .measure import measure_spin, sample_measurement, spin_z_observable
 from .scenarios import SCENARIO_NAMES, build_scenario
 from .states import (
+    _state_text,
     apply_u1_gauge,
     charge_conjugate,
     inner_product,
@@ -198,15 +199,22 @@ def _run_basis(args) -> tuple[int, dict]:
     registry = _registry(args)
     sector = SectorIndex(_parse_charge(args.charge))
     basis = build_packaged_entangled_basis(registry, args.registers, sector, seed=args.seed)
+    # earlier runs wrote contiguous indices, so a larger basis left this one behind
+    stale = os.path.join(args.out, f"basis_{basis.dimension:03d}.json")
+    if os.path.lexists(stale):
+        raise SimulatorError(
+            f"--out {args.out} holds {stale} from a larger basis; "
+            "remove it or choose another directory"
+        )
     os.makedirs(args.out, exist_ok=True)
     files = []
+    heads = {}  # one term head per product state, shared by every vector file
     for k, vec in enumerate(basis.vectors):
         path = os.path.join(args.out, f"basis_{k:03d}.json")
-        save_state(vec, path)
+        _write_text(path, _state_text(vec, heads))
         files.append(path)
     diag_path = os.path.join(args.out, "diagnostics.json")
-    with open(diag_path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(basis.diagnostics, indent=2, allow_nan=False) + "\n")
+    _write_text(diag_path, _diagnostics_text(basis.diagnostics))
     findings, metrics = check_basis(basis, registry)
     results = {
         "sector": str(basis.sector),
@@ -401,6 +409,50 @@ def _report_json(report: dict) -> str:
         head, _, rest = rest.partition(placeholder)
         parts.append(head + placeholder[:-2])
     return "".join(part + text for part, text in zip(parts, texts)) + rest
+
+
+def _json_bool(value: bool) -> str:
+    return "true" if value else "false"
+
+
+def _diagnostics_text(diagnostics: list[dict]) -> str:
+    """``json.dumps(diagnostics, indent=2) + "\\n"`` for the builder's
+    diagnostics, formatted in bulk.
+
+    Their schema is fixed (ints, a seed-kind string, bools and lists of
+    ints), so their text is the one json's own encoder emits. The builder
+    gives every column of a Haar mix the same ``columns`` list, so each mix
+    record is formatted once, keyed by that list, its attempt and its verdict,
+    and reused for every column of its group.
+    """
+    record_template = (
+        '\n      {\n        "attempt": %s,\n        "columns": %s,\n        "accepted": %s\n      }'
+    )
+    records: dict[tuple[int, int, bool], str] = {}
+    entries = []
+    for entry in diagnostics:
+        repairs = []
+        for record in entry["repairs"]:
+            columns = record["columns"]
+            key = (id(columns), record["attempt"], record["accepted"])
+            text = records.get(key)
+            if text is None:
+                listed = ",\n          ".join(map(int.__repr__, columns))
+                text = records[key] = record_template % (
+                    int.__repr__(record["attempt"]),
+                    "[\n          " + listed + "\n        ]" if listed else "[]",
+                    _json_bool(record["accepted"]),
+                )
+            repairs.append(text)
+        entries.append(
+            '\n  {\n    "index": %s,\n    "seed": %s,\n    "entangled": %s,\n    "repairs": %s\n  }' % (
+                int.__repr__(entry["index"]),
+                encode_basestring_ascii(entry["seed"]),
+                _json_bool(entry["entangled"]),
+                "[" + ",".join(repairs) + "\n    ]" if repairs else "[]",
+            )
+        )
+    return "[" + ",".join(entries) + "\n]\n" if entries else "[]\n"
 
 
 def main(argv=None) -> int:

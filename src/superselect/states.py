@@ -21,7 +21,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .charges import GAUGED, SpeciesRegistry, json_document
+from .charges import GAUGED, SpeciesRegistry, _write_text, json_document
 from .errors import ConfigurationError, DomainError, ShapeError, SuperselectionError
 from .fock import BasisState, RegisterLabel, SectorIndex, sectors, validate_label
 
@@ -449,7 +449,21 @@ def state_from_dict(data: dict, registry: SpeciesRegistry | None = None) -> Stat
     return StateVector(terms, n=n)
 
 
-def _state_text(vec: StateVector) -> str:
+def _term_head(state: BasisState) -> str:
+    """The text of one term of a state file up to its real part: the term's
+    opening brace, its ``labels`` block and ``"re": ``."""
+    labels = ",".join(
+        '\n        {\n          "species": '
+        + encode_basestring_ascii(_checked_species(label.species_id))
+        + ',\n          "spin": '
+        + int.__repr__(_checked_spin(label.spin))
+        + "\n        }"
+        for label in state.labels
+    )
+    return '\n    {\n      "labels": [' + labels + '\n      ],\n      "re": '
+
+
+def _state_text(vec: StateVector, heads: dict[BasisState, str]) -> str:
     """``json.dumps(state_to_dict(vec), indent=2) + "\\n"``, formatted in one pass.
 
     The schema is fixed, so this is the text json's own encoder emits: species
@@ -458,28 +472,22 @@ def _state_text(vec: StateVector) -> str:
     form; a StateVector holds only finite amplitudes). A field that json would
     write as something ``load_state`` refuses, or not at all (an ``n`` or a
     spin ``load_state`` refuses, a non-``str`` species id), raises the
-    loader's ConfigurationError instead.
+    loader's ConfigurationError instead, at the first term that holds it.
+
+    ``heads`` maps each product state already formatted to its ``_term_head``
+    and gains the ones formatted here. The vectors of one basis, whose terms
+    are the same ``BasisState`` objects, share one table, so each term head is
+    formatted once per basis; states that are equal but hold labels of other
+    types (a spin of ``True`` or ``np.int64(1)`` for ``1``) must not share one.
     """
     n = int.__repr__(_checked_n(vec.n))  # so every term has at least one label
     terms = []
     for state, amp in vec.items_sorted():
-        labels = []
-        for label in state.labels:
-            labels.append(
-                '\n        {\n          "species": '
-                + encode_basestring_ascii(_checked_species(label.species_id))
-                + ',\n          "spin": '
-                + int.__repr__(_checked_spin(label.spin))
-                + "\n        }"
-            )
+        head = heads.get(state)
+        if head is None:
+            head = heads[state] = _term_head(state)
         terms.append(
-            '\n    {\n      "labels": ['
-            + ",".join(labels)
-            + '\n      ],\n      "re": '
-            + float.__repr__(amp.real)
-            + ',\n      "im": '
-            + float.__repr__(amp.imag)
-            + "\n    }"
+            head + float.__repr__(amp.real) + ',\n      "im": ' + float.__repr__(amp.imag) + "\n    }"
         )
     body = "[" + ",".join(terms) + "\n  ]" if terms else "[]"
     return '{\n  "n": ' + n + ',\n  "terms": ' + body + "\n}\n"
@@ -491,9 +499,7 @@ def save_state(vec: StateVector, path: str) -> None:
     Floats take their shortest round-trip form, so save/load is bit-exact. The
     text is complete before the file is opened, so a refused field leaves no file.
     """
-    text = _state_text(vec)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    _write_text(path, _state_text(vec, {}))
 
 
 def state_from_bytes(

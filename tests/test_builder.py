@@ -270,6 +270,45 @@ def test_diagnostics_shape(ep):
         assert entry["repairs"][-1]["accepted"] is True
 
 
+def _reference_seeds(d):
+    """The seed columns and kinds, pair by pair: (b_k +- b_{d-1-k})/sqrt(2) in
+    columns 2k and 2k+1, and an odd leftover b_{d//2} in column d-1."""
+    cols = np.zeros((d, d), dtype=complex)
+    kinds = []
+    root_half = 1.0 / np.sqrt(2.0)
+    for k in range(d // 2):
+        cols[[k, d - 1 - k], 2 * k] = root_half, root_half
+        cols[[k, d - 1 - k], 2 * k + 1] = root_half, -root_half
+        kinds += ["pair_plus", "pair_minus"]
+    if d % 2:
+        cols[d // 2, d - 1] = 1.0
+        kinds.append("leftover")
+    return cols, kinds
+
+
+@pytest.mark.parametrize("registry, n", [
+    (electron_positron_registry(1), 5),
+    (electron_positron_registry(2), 3),
+    (color_toy_registry(), 3),
+    (dyon_registry(), 2),
+], ids=["ep-n5", "ep-spin2-n3", "colour-n3", "dyon-n2"])
+def test_vectors_are_the_seeds_or_the_mix_read_column_by_column(registry, n):
+    for sector in attained_sectors(registry, n):
+        product_basis = sector_basis(registry, n, sector)
+        basis = build_packaged_entangled_basis(registry, n, sector, seed=3)
+        seeds, kinds = _reference_seeds(len(product_basis))
+        assert [entry["seed"] for entry in basis.diagnostics] == kinds
+        for k, (vec, entry) in enumerate(zip(basis.vectors, basis.diagnostics)):
+            column = coordinates(vec, product_basis)
+            if not entry["repairs"]:
+                assert np.array_equal(column, seeds[:, k])
+            # what from_coordinates builds from the column, to the bit
+            rebuilt = from_coordinates(column, product_basis)
+            assert [(s, a.real.hex(), a.imag.hex()) for s, a in vec.terms.items()] == [
+                (s, a.real.hex(), a.imag.hex()) for s, a in rebuilt.terms.items()
+            ]
+
+
 @pytest.mark.parametrize("registry, n, sector", [
     (electron_positron_registry(1), 4, (0,)),
     (electron_positron_registry(1), 5, (1,)),

@@ -12,9 +12,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import superselect.builder as builder_module
 import superselect.cli as cli_module
 import superselect.entangle as entangle_module
 import superselect.fock as fock
+from superselect.builder import EntangledBasis
 from superselect.charges import save_registry
 from superselect.cli import main
 from superselect.entangle import (
@@ -32,17 +34,26 @@ from superselect.scenarios import (
     neutral_kaon_registry,
 )
 from superselect.errors import DomainError, SuperselectionError
-from superselect.fock import BasisState, RegisterLabel
+from superselect.fock import BasisState, RegisterLabel, SectorIndex, enumerate_basis
 from superselect.states import (
+    PRUNE_TOL,
     StateVector,
     inner_product,
     load_state,
     require_normalized,
     require_single_sector,
     save_state,
+    state_to_dict,
 )
 
-from helpers import dyon_registry, huge_multiplicity_registry, random_sector_superposition
+from helpers import (
+    dyon_registry,
+    escaped_id_registry,
+    huge_multiplicity_registry,
+    mixed_spin_registry,
+    random_sector_superposition,
+    two_family_registry,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -207,6 +218,129 @@ def test_basis_takes_a_negative_first_charge_component_in_equals_form(capsys, wo
     assert results["sector"] == "(-2,0)"
     assert results["verify_findings"] == []
     assert len(results["vector_files"]) == 2
+
+
+@pytest.mark.parametrize("registers, charge, shape", [
+    (2, "0", "no-mix"),
+    (5, "1", "one-mix"),
+    (2, "2", "degenerate"),
+    (5, "1", "redrawn-mix"),
+])
+def test_diagnostics_file_is_json_dumps_of_the_diagnostics(
+    capsys, workdir, monkeypatch, registers, charge, shape
+):
+    built = []  # the basis the CLI writes
+
+    def build(*args, **kwargs):
+        built.append(builder_module.build_packaged_entangled_basis(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(cli_module, "build_packaged_entangled_basis", build)
+    if shape == "redrawn-mix":
+        # the first draw is the identity, which leaves the failing columns as they are
+        draw, draws = builder_module._haar_unitary, []
+
+        def identity_first(m, rng):
+            draws.append(m)
+            return np.eye(m, dtype=complex) if len(draws) == 1 else draw(m, rng)
+
+        monkeypatch.setattr(builder_module, "_haar_unitary", identity_first)
+    out = workdir / "b"
+    code, _, err = run(capsys, "basis", "--registry", str(workdir / "ep.json"),
+                       "--registers", str(registers), "--charge", charge, "--out", str(out))
+    assert code == 0 and err == ""
+    (basis,) = built
+    text = (out / "diagnostics.json").read_bytes()
+    assert text == (json.dumps(basis.diagnostics, indent=2) + "\n").encode()
+    assert basis.degenerate == (shape == "degenerate")
+    repairs = [entry["repairs"] for entry in basis.diagnostics if entry["repairs"]]
+    if shape in ("no-mix", "degenerate"):
+        assert repairs == []
+    elif shape == "one-mix":
+        assert repairs and all(len(r) == 1 and r[0]["accepted"] for r in repairs)
+    else:
+        assert repairs and all(
+            [(rec["attempt"], rec["accepted"]) for rec in r] == [(0, False), (1, True)]
+            and r[0]["columns"] is r[1]["columns"]
+            for r in repairs
+        )
+
+
+def test_basis_refuses_an_out_directory_holding_a_larger_basis(capsys, workdir):
+    out = workdir / "D"
+    argv = lambda charge, out=out: ("basis", "--registry", str(workdir / "ep.json"),
+                                    "--registers", "4", "--charge", charge, "--out", str(out))
+    assert run(capsys, *argv("0"))[0] == 0  # d = 6
+    written = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert len(written) == 7
+    code, stdout, err = run(capsys, *argv("2"))  # d = 4
+    stale = out / "basis_004.json"
+    assert code == 1 and stdout == ""
+    assert err == (f"superselect: error: --out {out} holds {stale} from a larger basis; "
+                   "remove it or choose another directory\n")
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == written
+    # the same basis again, or a larger one over a smaller, writes as before
+    assert run(capsys, *argv("0"))[0] == 0
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == written
+    grown = workdir / "E"
+    assert run(capsys, *argv("2", grown))[0] == 0
+    assert run(capsys, *argv("0", grown))[0] == 0
+    assert {p.name: p.read_bytes() for p in grown.iterdir()} == written
+
+
+# amplitude parts: signed zeros, a subnormal, magnitudes near 1e+-300, thirds
+_WRITER_PARTS = [0.0, -0.0, 5e-324, -1e-300, 1e300, 1 / 3, -0.6]
+
+
+def _writer_vectors(rng, registry, n):
+    """Vectors over a few shared product states of ``registry``: one with drawn
+    amplitudes, one with those doubled on the same states, one over part of
+    them and others, and the zero state."""
+    pool = enumerate_basis(registry, n)
+    picks = rng.choice(len(pool), size=min(len(pool), 8), replace=False)
+    states = [pool[i] for i in picks]
+
+    def amplitude():
+        re, im = (
+            _WRITER_PARTS[i] if i < len(_WRITER_PARTS) else float(rng.standard_normal())
+            for i in rng.integers(0, len(_WRITER_PARTS) + 1, size=2)
+        )
+        return complex(re, im) if abs(complex(re, im)) >= PRUNE_TOL else complex(re, -1.0)
+
+    first = {state: amplitude() for state in states[:6]}
+    return [
+        StateVector(first, n=n),
+        StateVector({state: 2 * amp for state, amp in first.items()}, n=n),
+        StateVector({state: amplitude() for state in states[3:]}, n=n),
+        StateVector({}, n=n),
+    ]
+
+
+@pytest.mark.parametrize("registry", [
+    electron_positron_registry(2), mixed_spin_registry(), escaped_id_registry(), two_family_registry(),
+], ids=["ep2", "mixed-spin", "escaped-ids", "two-family"])
+def test_basis_files_are_json_dumps_of_each_vector(capsys, tmp_path, monkeypatch, registry):
+    # the files share one term-head table, so one that kept amplitudes would
+    # write the first vector's into the second
+    save_registry(registry, str(tmp_path / "registry.json"))
+    sector = SectorIndex((0,) * len(registry.gauged_indices()))
+    charge = ",".join(map(str, sector.gauged_charges))
+    rng = np.random.default_rng(11)
+    texts = []
+    for trial in range(5):
+        n = 2 + trial % 2
+        vectors = _writer_vectors(rng, registry, n)
+        monkeypatch.setattr(cli_module, "build_packaged_entangled_basis",
+                            lambda *args, vectors=vectors, n=n, **kwargs: EntangledBasis(vectors, sector, n))
+        out = tmp_path / f"b{trial}"
+        code, _, err = run(capsys, "basis", "--registry", str(tmp_path / "registry.json"),
+                           "--registers", str(n), "--charge", charge, "--out", str(out))
+        assert code in (0, 1) and err == ""  # the vectors span no sector: check_basis says so
+        for k, vec in enumerate(vectors):
+            text = (out / f"basis_{k:03d}.json").read_bytes()
+            assert text == (json.dumps(state_to_dict(vec), indent=2) + "\n").encode()
+            texts.append(text)
+    assert b": -0.0," in b"".join(texts) and b": -0.0\n" in b"".join(texts)  # both signed-zero parts ran
 
 
 def test_entangle_reports_cuts(capsys, workdir):

@@ -3,6 +3,7 @@
 import cmath
 import json
 import math
+import os
 import re
 import sys
 
@@ -537,6 +538,31 @@ def test_saved_state_is_json_dumps_and_loads_bit_exact(tmp_path_factory, case):
     back = load_state(str(path), registry=registry)
     assert back == vec
     assert _amplitude_bits(back) == _amplitude_bits(vec)
+
+
+def test_save_state_writes_the_file_open_writes(tmp_path, monkeypatch):
+    vec = StateVector({EM_EP: complex(-0.0, ROOT_HALF), EP_EM: ROOT_HALF})
+    text = json.dumps(state_to_dict(vec), indent=2) + "\n"
+    reference = tmp_path / "reference.json"
+    with open(reference, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    longer = tmp_path / "longer.json"
+    longer.write_text("x" * 3 * len(text))
+    fresh = tmp_path / "fresh.json"
+    real_write = os.write
+    with monkeypatch.context() as patch:
+        # a short write is resumed where it stopped
+        patch.setattr(os, "write", lambda fd, data: real_write(fd, data[:7]))
+        for path in (longer, fresh):
+            save_state(vec, str(path))
+            assert path.read_bytes() == reference.read_bytes()
+    assert os.stat(fresh).st_mode == os.stat(reference).st_mode
+    missing = tmp_path / "missing" / "state.json"
+    with pytest.raises(OSError) as opened:
+        open(missing, "w", encoding="utf-8")
+    with pytest.raises(type(opened.value)) as saved:
+        save_state(vec, str(missing))
+    assert str(saved.value) == str(opened.value)
 
 
 def _with_label(label):
