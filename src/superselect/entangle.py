@@ -542,16 +542,14 @@ def every_cut_entangled(plan: CutPlan, columns: np.ndarray) -> list[bool]:
 
 # -- internal-charge marginals and the PPT witness -----------------------------
 
-def _components(mat: np.ndarray) -> np.ndarray:
-    """Connected-component label (its smallest index) of every row of ``mat``,
-    linking i > j wherever ``mat[i, j]`` is nonzero.
+def _components(dim: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Connected-component label (its smallest index) of each of ``dim`` nodes,
+    linking ``rows[k]`` with ``cols[k]`` for every k.
 
     Label propagation: each pass hooks the root of every edge's larger label
     under the smaller one, then pointer jumping flattens every chain to its
     root. Labels only ever fall and ``label[i] <= i``, so chains end.
     """
-    dim = mat.shape[0]
-    rows, cols = np.divmod(np.flatnonzero(np.tril(mat != 0, -1)), dim)
     label = np.arange(dim)
     while True:
         lo, hi = label[rows], label[cols]
@@ -567,40 +565,43 @@ def _components(mat: np.ndarray) -> np.ndarray:
             label = jumped
 
 
-def _eigvalsh_blocks(mat: np.ndarray) -> np.ndarray:
-    """Every eigenvalue of Hermitian ``mat``, ascending, solved block by block.
+def _eigvalsh_blocks(mat: np.ndarray, rows: np.ndarray, cols: np.ndarray, where=None) -> np.ndarray:
+    """Every eigenvalue, ascending, of a Hermitian matrix H whose nonzero
+    coordinates are ``rows``, ``cols``, solved block by block. H is ``mat``
+    itself, or with ``where`` the matrix whose principal submatrices on the
+    rows of index array ``idx`` (blocks x size) are ``mat[where(idx)]``.
 
     ``np.linalg.eigvalsh`` reads the lower triangle and mirrors it; the
-    connected components of that triangle's exact nonzero pattern permute the
+    connected components of that triangle's nonzero coordinates permute the
     matrix it reads into a direct sum, so the union of the blocks' spectra is
     its spectrum. Blocks are principal submatrices in ascending index order,
     so each block's lower triangle is read from the same entries. A singleton
     contributes its real diagonal entry; blocks of one size share one batched
     ``eigvalsh``.
     """
-    label = _components(mat)
+    if where is None:
+        where = lambda idx: (idx[:, :, None], idx[:, None, :])
+    below = rows > cols
+    label = _components(mat.shape[0], rows[below], cols[below])
     order = np.argsort(label, kind="stable")
     sizes = np.bincount(label)
     sizes = sizes[sizes > 0]  # per component, in order of its label as in ``order``
     starts = np.cumsum(sizes) - sizes
     spectra = []
     for size in sorted(set(sizes.tolist())):
-        idx = order[starts[sizes == size, None] + np.arange(size)]
-        if size == 1:
-            spectra.append(mat[idx[:, 0], idx[:, 0]].real)
-        else:
-            spectra.append(np.linalg.eigvalsh(mat[idx[:, :, None], idx[:, None, :]]).ravel())
+        block = mat[where(order[starts[sizes == size, None] + np.arange(size)])]
+        spectra.append(block.real.ravel() if size == 1 else np.linalg.eigvalsh(block).ravel())
     return np.sort(np.concatenate(spectra))
 
 
-def _hermiticity_deviation(mat: np.ndarray) -> float:
-    """The largest |mat[i, j] - conj(mat[j, i])|, read over the nonzero pattern.
+def _hermiticity_deviation(mat: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> float:
+    """The largest |mat[i, j] - conj(mat[j, i])|, read over the nonzero
+    coordinates ``rows``, ``cols`` of ``mat``.
 
     A nonzero deviation needs mat[i, j] or mat[j, i] nonzero, and the pattern
     holds both orders of such a pair, so this is the dense maximum bit for bit.
     """
-    i, j = np.nonzero(mat)
-    return float(np.max(np.abs(mat[i, j] - mat[j, i].conj()), initial=0.0))
+    return float(np.max(np.abs(mat[rows, cols] - mat[cols, rows].conj()), initial=0.0))
 
 
 class DensityMatrix:
@@ -609,28 +610,49 @@ class DensityMatrix:
     ``register_alphabets`` give each register's local label list; the row
     order is the cartesian product of these alphabets (register-major), which
     is what makes partial transposition along a register cut well defined.
+    The matrix owns its entries, read-only (a caller's array is copied), and
+    finds their nonzero pattern once; every later check reads that pattern.
     """
 
     def __init__(self, entries: np.ndarray, register_alphabets, cut: Bipartition | None = None):
-        entries = np.asarray(entries, dtype=complex)
-        self.register_alphabets = tuple(tuple(a) for a in register_alphabets)
-        self.basis_labels = list(itertools.product(*self.register_alphabets))
-        self.cut = cut
-        dim = len(self.basis_labels)
+        self._admit(np.array(entries, dtype=complex), register_alphabets, cut, None)
+
+    @classmethod
+    def _with_pattern(cls, entries: np.ndarray, register_alphabets, cut, pattern) -> "DensityMatrix":
+        """Admit ``entries``, taken over as they are, whose nonzero coordinates
+        in row-major order are known to be ``pattern``."""
+        rho = cls.__new__(cls)
+        rho._admit(entries, register_alphabets, cut, pattern)
+        return rho
+
+    def _admit(self, entries: np.ndarray, register_alphabets, cut, pattern) -> None:
+        alphabets = tuple(tuple(a) for a in register_alphabets)
+        dim = math.prod(len(a) for a in alphabets)
         if entries.shape != (dim, dim):
             raise DomainError(
                 f"density matrix shape {entries.shape} does not match product basis size {dim}"
             )
-        if not np.all(np.isfinite(entries)):
+        # nan and inf are nonzero, so the pattern holds every non-finite entry
+        rows, cols = np.nonzero(entries) if pattern is None else pattern
+        if not np.isfinite(entries[rows, cols]).all():
             raise DomainError("density matrix has non-finite entries")
-        if _hermiticity_deviation(entries) > HERMITICITY_TOL:
+        if _hermiticity_deviation(entries, rows, cols) > HERMITICITY_TOL:
             raise DomainError("density matrix is not Hermitian")
-        eigs = _eigvalsh_blocks(entries)
+        eigs = _eigvalsh_blocks(entries, rows, cols)
         if eigs.min() < -PPT_TOL:
             raise DomainError(f"density matrix has negative eigenvalue {eigs.min():.3e}")
         if abs(np.trace(entries).real - 1.0) > TRACE_TOL:
             raise DomainError(f"density matrix trace {np.trace(entries).real:.12g} != 1")
-        self.entries = entries
+        entries.flags.writeable = False
+        self._entries, self._rows, self._cols = entries, rows, cols
+        self.register_alphabets = alphabets
+        self.basis_labels = list(itertools.product(*alphabets))
+        self.cut = cut
+
+    @property
+    def entries(self) -> np.ndarray:
+        """The admitted matrix, read-only."""
+        return self._entries
 
     @property
     def dim(self) -> int:
@@ -670,23 +692,39 @@ def internal_charge_marginal(
             f"(product of the registers' species alphabets): the limit is {MAX_MARGINAL_DIM}"
         )
     index = {c: i for i, c in enumerate(itertools.product(*alphabets))}
-    # one amplitude row over the configurations per spin assignment, in order of first sight
+    # each term's spin row (one per spin assignment, in order of first sight)
+    # and configuration
     spin_rows: dict[tuple[int, ...], int] = {}
     rows, cols = [], []
     for state in vec.terms:
         rows.append(spin_rows.setdefault(tuple(l.spin for l in state.labels), len(spin_rows)))
         cols.append(index[tuple(l.species_id for l in state.labels)])
-    by_spin = np.zeros((len(spin_rows), dim), dtype=complex)
-    by_spin[rows, cols] += _amplitudes(vec) / vec.norm()
-    # outside its support block an outer product holds only zeros, and adding a
-    # zero leaves an entry as it is (no sum here is -0.0), so the block sums
-    # are the dense ones bit for bit
+    order = np.argsort(rows, kind="stable")
+    spin, conf = np.array(rows)[order], np.array(cols)[order]
+    amps = (_amplitudes(vec) / vec.norm())[order]
+    # Every pair (p, q) of terms in one spin row, the rows in order, added on
+    # the support configurations in one unbuffered in-order pass: an entry
+    # gets the same products in the same order as the dense sum of one outer
+    # product per spin row (outside its support an outer product holds only
+    # zeros, and adding a zero leaves an entry as it is; no sum here is -0.0).
+    counts = np.bincount(spin)  # terms per spin row
+    size = counts[spin]  # each term's pairs: one per term of its row
+    p = np.repeat(np.arange(spin.size), size)
+    # q steps through p's row from the row's first term
+    first = np.repeat((np.cumsum(counts) - counts)[spin], size)
+    q = first + np.arange(p.size) - np.repeat(np.cumsum(size) - size, size)
+    support = np.unique(conf)
+    at = np.searchsorted(support, conf)
+    m = support.size
+    block = np.zeros(m * m, dtype=complex)
+    np.add.at(block, at[p] * m + at[q], amps[p] * amps[q].conj())
+    # every other entry is zero, so the support block's nonzeros are the
+    # pattern, in row-major order since ``support`` ascends
+    nonzero = np.flatnonzero(block)
+    pattern = support[nonzero // m], support[nonzero % m]
     rho = np.zeros((dim, dim), dtype=complex)
-    for row in by_spin:
-        support = np.flatnonzero(row)
-        block = np.ix_(support, support)
-        rho[block] += np.outer(row[support], row[support].conj())
-    return DensityMatrix(rho, alphabets, cut=cut)
+    rho[pattern] = block[nonzero]
+    return DensityMatrix._with_pattern(rho, alphabets, cut, pattern)
 
 
 @dataclass
@@ -702,6 +740,40 @@ class PptResult:
         return self.verdict == "entangled"
 
 
+def _partial_transpose(rho: DensityMatrix, cut: Bipartition):
+    """The partial transpose T of ``rho`` on the right side of ``cut``, never
+    built: T's nonzero coordinates (rows, cols) and a function ``where``, such
+    that T's principal submatrices on the rows of index array ``idx`` (blocks x
+    size) are ``rho.entries[where(idx)]``.
+
+    T's rows and columns index configurations with the left registers first.
+    It maps (a b, a' b') to (a b', a' b), where an index's part hi is its left
+    part a times d_right and lo its right part b, so its pattern is rho's,
+    mapped, and its entries are rho's, gathered.
+    """
+    dims = rho.local_dims()
+    d_right = math.prod(dims[i] for i in cut.right)
+    # each configuration's index with the left registers first, from the
+    # registers' place values in that order
+    place, step = [0] * len(dims), 1
+    for r in reversed(sorted(cut.left) + sorted(cut.right)):
+        place[r], step = step, step * dims[r]
+    key = np.zeros(1, dtype=np.intp)
+    for r, size in enumerate(dims):
+        key = np.add.outer(key, np.arange(0, size * place[r], place[r])).ravel()
+    pos = np.argsort(key)  # the configuration at each such index
+    hi, lo = np.divmod(np.arange(len(key)), d_right)
+    hi *= d_right
+    lead, tail = hi[key], lo[key]
+
+    def where(idx):
+        at = pos[hi[idx][:, :, None] + lo[idx][:, None, :]]
+        return at, at.swapaxes(1, 2)
+
+    rows, cols = rho._rows, rho._cols
+    return lead[rows] + tail[cols], lead[cols] + tail[rows], where
+
+
 def ppt_check(rho: DensityMatrix, cut: Bipartition | None = None) -> PptResult:
     """Partial transpose on the right factor of ``cut``; negativity certifies entanglement.
 
@@ -714,20 +786,11 @@ def ppt_check(rho: DensityMatrix, cut: Bipartition | None = None) -> PptResult:
         cut = rho.cut
     if cut is None:
         raise DomainError("ppt_check needs a bipartition (none stored on the density matrix)")
-    n = len(rho.register_alphabets)
-    cut.check(n)
+    cut.check(len(rho.register_alphabets))
     dims = rho.local_dims()
-    lidx = sorted(cut.left)
-    ridx = sorted(cut.right)
-    d_left = math.prod(dims[i] for i in lidx)
-    d_right = math.prod(dims[i] for i in ridx)
-    # reorder row and column axes to (left registers, right registers)
-    tensor = rho.entries.reshape(dims + dims)
-    perm = lidx + ridx
-    tensor = tensor.transpose(perm + [n + i for i in perm])
-    block = tensor.reshape(d_left, d_right, d_left, d_right)
-    transposed = block.transpose(0, 3, 2, 1).reshape(d_left * d_right, d_left * d_right)
-    eigs = _eigvalsh_blocks(transposed)
+    d_left = math.prod(dims[i] for i in cut.left)
+    d_right = math.prod(dims[i] for i in cut.right)
+    eigs = _eigvalsh_blocks(rho.entries, *_partial_transpose(rho, cut))
     min_eig = float(eigs.min())
     if min_eig < -PPT_TOL:
         return PptResult("entangled", min_eig, conclusive=True)

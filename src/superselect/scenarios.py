@@ -24,6 +24,9 @@ SCENARIO_NAMES = (
     "color_singlet_toy",
 )
 
+#: The scenarios that take amplitudes alpha and beta.
+PAIR_SCENARIOS = ("hybrid_pair", "meson_superposition")
+
 ROOT_HALF = 1.0 / math.sqrt(2.0)
 
 
@@ -121,11 +124,17 @@ def _check_pair_amplitudes(alpha: complex, beta: complex) -> None:
 def build_scenario(name: str, alpha: complex | None = None, beta: complex | None = None):
     """Return (registry, state, expectation) for a named scenario.
 
-    ``alpha``/``beta`` apply to the parameterized scenarios and default to
-    1/sqrt(2) each; they must satisfy |alpha|^2 + |beta|^2 = 1.
+    ``alpha``/``beta`` apply to the scenarios in ``PAIR_SCENARIOS`` only and
+    default to 1/sqrt(2) each; they must satisfy |alpha|^2 + |beta|^2 = 1.
+    Any other scenario given either of them raises DomainError.
     """
     if name not in SCENARIO_NAMES:
         raise DomainError(f"unknown scenario {name!r}; choose from {SCENARIO_NAMES}")
+    if name not in PAIR_SCENARIOS and (alpha is not None or beta is not None):
+        raise DomainError(
+            f"scenario {name} takes no alpha or beta (--alpha/--beta); "
+            f"only {' and '.join(PAIR_SCENARIOS)} do"
+        )
     if alpha is None and beta is None:
         alpha = beta = ROOT_HALF
     elif alpha is None or beta is None:

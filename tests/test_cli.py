@@ -112,6 +112,19 @@ def test_demo_refuses_amplitudes_whose_squares_overflow(capsys, name):
         assert err == f"superselect: error: |alpha|^2 + |beta|^2 = {total}, expected 1\n"
 
 
+@pytest.mark.parametrize("name", [n for n in SCENARIO_NAMES if n not in ("hybrid_pair", "meson_superposition")])
+def test_demo_refuses_amplitudes_on_a_scenario_that_takes_none(capsys, name):
+    for flags in (("--alpha", "nan", "--beta", "1"), ("--alpha", "inf", "--beta", "1"),
+                  ("--alpha", "1", "--beta", "1e400"), ("--alpha", "0.6", "--beta", "0.8"),
+                  ("--beta", "1")):
+        code, out, err = run(capsys, "demo", name, *flags)
+        assert code == 1 and out == ""
+        assert err == (
+            f"superselect: error: scenario {name} takes no alpha or beta (--alpha/--beta); "
+            "only hybrid_pair and meson_superposition do\n"
+        )
+
+
 def test_module_entry_point_exits_with_the_command_status(tmp_path):
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))

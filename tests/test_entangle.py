@@ -44,10 +44,12 @@ from helpers import (
     oracle_packaged_entangled,
     random_sector_superposition,
     random_single_sector_state,
+    reference_block_ppt_check,
     reference_cut_spectra,
     reference_density_admission,
     reference_every_cut_entangled,
     reference_internal_marginal,
+    reference_partial_transpose,
     reference_ppt_check,
     two_family_registry,
 )
@@ -979,11 +981,14 @@ def test_marginal_trace_is_one_on_random_states():
 
 def test_density_matrix_refuses_non_finite_entries():
     alphabets = (("a", "b"),)
-    for bad in (complex(math.nan, 0.0), complex(0.5, math.nan), complex(math.inf, 0.0)):
-        entries = np.diag([0.5, 0.5]).astype(complex)
-        entries[1, 0] = bad
-        with pytest.raises(DomainError, match="^density matrix has non-finite entries$"):
-            DensityMatrix(entries, alphabets)
+    for bad in (complex(math.nan, 0.0), complex(0.5, math.nan), complex(math.inf, 0.0),
+                complex(0.0, math.nan), complex(0.0, math.inf), complex(0.0, -math.inf)):
+        # lower triangle only, upper triangle only (both also not Hermitian), diagonal
+        for i, j in ((1, 0), (0, 1), (1, 1)):
+            entries = np.diag([0.5, 0.5]).astype(complex)
+            entries[i, j] = bad
+            with pytest.raises(DomainError, match="^density matrix has non-finite entries$"):
+                DensityMatrix(entries, alphabets)
     with pytest.raises(DomainError, match="^density matrix has non-finite entries$"):
         DensityMatrix(np.full((2, 2), np.nan), alphabets)
 
@@ -1025,7 +1030,7 @@ def test_hermiticity_deviation_on_the_nonzero_pattern_is_the_dense_one():
         mats.append(mat)
     for mat in mats:
         dense = float(np.max(np.abs(mat - mat.conj().T)))
-        assert entangle_module._hermiticity_deviation(mat) == dense
+        assert entangle_module._hermiticity_deviation(mat, *np.nonzero(mat)) == dense
 
 
 @pytest.mark.parametrize(
@@ -1052,7 +1057,7 @@ def test_block_spectrum_reads_the_lower_triangle_as_eigvalsh_does():
     lower_only = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
     upper_only = lower_only.T.copy()
     for mat in (lower_only, upper_only, np.diag([2.0 + 1.0j, -1.0 - 3.0j])):
-        assert np.array_equal(entangle_module._eigvalsh_blocks(mat), np.linalg.eigvalsh(mat))
+        assert np.array_equal(entangle_module._eigvalsh_blocks(mat, *np.nonzero(mat)), np.linalg.eigvalsh(mat))
 
 
 @settings(max_examples=60, deadline=None)
@@ -1090,7 +1095,7 @@ def test_block_spectrum_equals_dense_eigvalsh(singletons, zero_rows, dense, pair
                 mat[j, i] += 5e-11j
     perm = rng.permutation(dim)
     mat = mat[np.ix_(perm, perm)]
-    got = np.sort(entangle_module._eigvalsh_blocks(mat))
+    got = np.sort(entangle_module._eigvalsh_blocks(mat, *np.nonzero(mat)))
     want = np.sort(np.linalg.eigvalsh(mat))
     assert got.shape == want.shape
     assert np.max(np.abs(got - want), initial=0.0) <= 1e-12 * np.max(np.abs(mat))
@@ -1117,9 +1122,82 @@ def test_marginal_and_ppt_match_the_dense_reference(make_registry, n):
             rho = internal_charge_marginal(reg, vec, cut)
             assert rho.register_alphabets == alphabets
             assert rho.entries.tobytes() == want.tobytes()
+            pattern = np.nonzero(rho.entries)
+            assert np.array_equal(rho._rows, pattern[0]) and np.array_equal(rho._cols, pattern[1])
             got, ref = ppt_check(rho), reference_ppt_check(rho, cut)
             assert (got.verdict, got.conclusive) == (ref.verdict, ref.conclusive)
             assert abs(got.min_eigenvalue - ref.min_eigenvalue) <= 1e-12
+            # the mapped pattern is the dense transpose's, and its gather is that transpose
+            transposed = reference_partial_transpose(rho, cut)[0]
+            rows, cols, where = entangle_module._partial_transpose(rho, cut)
+            assert np.array_equal(np.sort(rows * rho.dim + cols), np.flatnonzero(transposed))
+            assert rho.entries[where(np.arange(rho.dim)[None])][0].tobytes() == transposed.tobytes()
+            assert _ppt_bits(got) == _ppt_bits(reference_block_ppt_check(rho, cut))
+
+
+def _ppt_bits(result):
+    return result.verdict, result.conclusive, float(result.min_eigenvalue).hex()
+
+
+def test_marginal_pattern_leaves_out_coherences_that_cancel():
+    a, b = 0.3 + 0.4j, 0.5
+    # two spin rows with amplitudes (a, b) and (a, -b): the coherences cancel to exactly 0
+    vec = StateVector({B(("e-", 0), ("e+", 0)): a, B(("e+", 0), ("e-", 0)): b,
+                       B(("e-", 1), ("e+", 1)): a, B(("e+", 1), ("e-", 1)): -b})
+    rho = internal_charge_marginal(electron_positron_registry(2), vec)
+    assert rho.entries[1, 2] == 0 and rho.entries[2, 1] == 0
+    assert rho.entries.tobytes() == reference_internal_marginal(vec)[0].tobytes()
+    pattern = np.nonzero(rho.entries)
+    assert np.array_equal(rho._rows, pattern[0]) and np.array_equal(rho._cols, pattern[1])
+    assert rho._rows.tolist() == [1, 2]
+
+
+def test_ppt_matches_the_dense_block_reference_on_caller_matrices():
+    rng = np.random.default_rng(61)
+    alphabets = (("a", "b"), ("x", "y", "z"))
+    mats = []
+    signed = np.diag([0.5, 0.0, 0.25, 0.0, 0.25, 0.0]).astype(complex)
+    signed[1, 1] = signed[3, 3] = complex(-0.0, 0.0)  # -0.0 on the diagonal: singleton blocks
+    signed[5, 5] = complex(-0.0, -0.0)
+    mats.append(signed)
+    for _ in range(30):
+        mat = np.zeros((6, 6), dtype=complex)
+        for _ in range(int(rng.integers(1, 4))):
+            v = (rng.normal(size=6) + 1j * rng.normal(size=6)) * (rng.random(6) < 0.5)
+            mat += np.outer(v, v.conj())
+        if np.trace(mat).real == 0:
+            mat[0, 0] = 1.0
+        mat /= np.trace(mat).real
+        mat[(mat == 0) & (rng.random((6, 6)) < 0.5)] = complex(-0.0, -0.0)
+        mats.append(mat)
+    for mat in mats:
+        rho = DensityMatrix(mat, alphabets)
+        for cut in all_bipartitions(2):
+            assert _ppt_bits(ppt_check(rho, cut)) == _ppt_bits(reference_block_ppt_check(rho, cut))
+    assert _ppt_bits(ppt_check(DensityMatrix(signed, alphabets), CUT01))[2] == "-0x0.0p+0"
+
+
+def test_entries_are_a_read_only_copy(bell_plus):
+    mine = np.diag([0.5, 0.5]).astype(complex)
+    rho = DensityMatrix(mine, (("a", "b"),))
+    with pytest.raises(ValueError):
+        rho.entries[0, 1] = 0.5
+    with pytest.raises(AttributeError):
+        rho.entries = np.eye(2) / 2
+    mine[0, 1] = 0.25  # the caller's array stays writable, and the matrix's own copy does not move
+    assert rho.entries[0, 1] == 0
+    marginal = internal_charge_marginal(electron_positron_registry(1), bell_plus, CUT01)
+    with pytest.raises(ValueError):
+        marginal.entries[0, 0] = 1.0
+
+
+def test_density_matrix_checks_its_shape_before_listing_labels(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the label product was listed before the shape check")
+
+    monkeypatch.setattr(entangle_module.itertools, "product", refuse)
+    with pytest.raises(DomainError, match=r"^density matrix shape \(2, 2\) does not match product basis size 1600000000$"):
+        DensityMatrix(np.eye(2) / 2, [tuple(range(200))] * 4)
 
 
 def test_oversized_marginal_is_refused_before_it_allocates(monkeypatch):

@@ -8,7 +8,7 @@ from superselect.entangle import Bipartition, entanglement_entropy, internal_cha
 from superselect.errors import DomainError
 from superselect.fock import SectorIndex
 from superselect.measure import measure_spin, spin_z_observable
-from superselect.scenarios import SCENARIO_NAMES, build_scenario
+from superselect.scenarios import PAIR_SCENARIOS, SCENARIO_NAMES, build_scenario
 from superselect.states import (
     SuperselectionReport,
     charge_conjugate,
@@ -82,6 +82,16 @@ def test_scenario_parameter_normalization_enforced():
         build_scenario("hybrid_pair", alpha=0.5, beta=None)
     with pytest.raises(DomainError):
         build_scenario("hybrid_pair", alpha=1.0, beta=0.0)  # degenerate, not a pair
+
+
+@pytest.mark.parametrize("name", [n for n in SCENARIO_NAMES if n not in PAIR_SCENARIOS])
+def test_amplitudes_are_refused_by_a_scenario_that_takes_none(name):
+    message = (f"^scenario {name} takes no alpha or beta \\(--alpha/--beta\\); "
+               "only hybrid_pair and meson_superposition do$")
+    for alpha, beta in ((math.nan, 1.0), (math.inf, 1.0), (1.0, math.inf), (0.6, 0.8), (None, 1.0), (1.0, None)):
+        with pytest.raises(DomainError, match=message):
+            build_scenario(name, alpha=alpha, beta=beta)
+    build_scenario(name, alpha=None, beta=None)
 
 
 def test_unknown_scenario_rejected():
