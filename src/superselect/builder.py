@@ -41,7 +41,7 @@ import numpy as np
 from .charges import SpeciesRegistry
 from .entangle import CutPlan, every_cut_entangled
 from .errors import DomainError, SimulatorError
-from .fock import BasisState, SectorIndex, sector_basis
+from .fock import SectorIndex, sector_basis
 from .states import StateVector, coordinate_matrix
 
 ORTHO_TOL = 1e-9
@@ -174,20 +174,6 @@ def build_packaged_entangled_basis(
     )
 
 
-def _deviations(basis: EntangledBasis, product_basis: list[BasisState]):
-    """The vectors' sector coordinates as columns, their Gram matrix minus identity,
-    and the Frobenius deviation of their span projector from the sector projector.
-
-    VV^dagger is d x d whatever the vector count, so span deficiency is
-    visible even when vectors are missing (projector rank < d), down to no
-    vectors at all: a (d, 0) matrix.
-    """
-    mat = coordinate_matrix(basis.vectors, product_basis)
-    gram_dev = mat.conj().T @ mat - np.eye(basis.dimension)
-    span_dev = float(np.linalg.norm(mat @ mat.conj().T - np.eye(len(product_basis))))
-    return mat, gram_dev, span_dev
-
-
 def check_basis(
     basis: EntangledBasis, registry: SpeciesRegistry
 ) -> tuple[list[str], dict | None]:
@@ -200,22 +186,35 @@ def check_basis(
     it prove membership and the Gram diagonal checks norms, so one every-cut
     check over its index plan gives the entanglement verdicts (a zero vector
     is not entangled).
+
+    Every deviation is read from one Gram matrix G = V^H V of the k vectors'
+    coordinates. The d x d span projector VV^H shares its nonzero eigenvalues
+    with G, so its Frobenius deviation from I_d is
+    sqrt(||G - I_k||_F^2 + (d - k)), never built: each missing vector adds 1.
     """
     findings: list[str] = []
     product_basis = sector_basis(registry, basis.n, basis.sector)
-    d = len(product_basis)
-    if basis.dimension != d:
-        findings.append(f"vector count {basis.dimension} != sector dimension {d}")
+    d, k = len(product_basis), basis.dimension
+    if k != d:
+        findings.append(f"vector count {k} != sector dimension {d}")
 
     try:
-        mat, gram_dev, span_dev = _deviations(basis, product_basis)
+        mat = coordinate_matrix(basis.vectors, product_basis)
     except DomainError as exc:  # support outside the sector
         findings.append(f"vectors are not expressible in the sector basis: {exc}")
         return findings, None
 
-    norm_dev = float(np.max(np.abs(np.diag(gram_dev)))) if basis.dimension else 0.0
-    cross = gram_dev - np.diag(np.diag(gram_dev))
-    cross_dev = float(np.max(np.abs(cross))) if basis.dimension else 0.0
+    # G - I_k: subtracting 1 from the diagonal in place is G - np.eye(k) bit for bit
+    gram_dev = mat.conj().T @ mat
+    gram_dev.flat[:: k + 1] -= 1.0
+    dev = np.abs(gram_dev)
+    norm_dev = float(np.max(np.diagonal(dev), initial=0.0))
+    # the squares are summed first and the integer d - k added after, so at
+    # k = d the span deviation is ||G - I||_F, rounding-sized squares kept
+    span_dev = float(np.sqrt(np.maximum(np.vdot(dev, dev) + (d - k), 0.0)))
+    np.fill_diagonal(dev, 0.0)
+    cross_dev = float(np.max(dev, initial=0.0))
+    del gram_dev, dev  # not held through the every-cut check, which copies mat
     if norm_dev > ORTHO_TOL:
         findings.append(f"norm deviation {norm_dev:.3e} exceeds {ORTHO_TOL}")
     if cross_dev > ORTHO_TOL:
@@ -225,20 +224,19 @@ def check_basis(
             f"span projector deviates from sector projector by {span_dev:.3e} (Frobenius)"
         )
 
+    separable = set(basis.separable_indices)
     verdicts = every_cut_entangled(CutPlan(product_basis, basis.n), mat)
-    for k, entangled in enumerate(verdicts):
-        if not entangled and k not in basis.separable_indices:
-            findings.append(f"vector {k} fails the entanglement predicate but is not flagged")
-    if basis.separable_indices and not basis.degenerate:
+    for j, entangled in enumerate(verdicts):
+        if not entangled and j not in separable:
+            findings.append(f"vector {j} fails the entanglement predicate but is not flagged")
+    if separable and not basis.degenerate:
         findings.append("separable vectors present but degenerate flag not set")
 
     metrics = {
         "dimension": d,
-        "max_gram_deviation": float(np.max(np.abs(gram_dev), initial=0.0)),
-        "span_frobenius_deviation": span_dev if basis.dimension == d else None,
-        "entangled_count": sum(
-            1 for k in range(basis.dimension) if k not in basis.separable_indices
-        ),
+        "max_gram_deviation": float(np.maximum(norm_dev, cross_dev)),  # keeps a nan
+        "span_frobenius_deviation": span_dev if k == d else None,
+        "entangled_count": sum(1 for j in range(k) if j not in separable),
         "degenerate": basis.degenerate,
         "separable_indices": list(basis.separable_indices),
     }

@@ -644,7 +644,10 @@ class DensityMatrix:
         if abs(np.trace(entries).real - 1.0) > TRACE_TOL:
             raise DomainError(f"density matrix trace {np.trace(entries).real:.12g} != 1")
         entries.flags.writeable = False
-        self._entries, self._rows, self._cols = entries, rows, cols
+        # kept for every later check: a D x D matrix that fits in memory has
+        # D < 2**31, so int32 coordinates hold it at 8 bytes per nonzero
+        self._entries = entries
+        self._rows, self._cols = rows.astype(np.int32), cols.astype(np.int32)
         self.register_alphabets = alphabets
         self.basis_labels = list(itertools.product(*alphabets))
         self.cut = cut

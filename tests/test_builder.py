@@ -6,6 +6,8 @@ import pytest
 import superselect.builder as builder_module
 import superselect.entangle as entangle_module
 from superselect.builder import (
+    ORTHO_TOL,
+    SPAN_TOL,
     EntangledBasis,
     _admits_entangled,
     _haar_unitary,
@@ -432,7 +434,7 @@ def test_verify_basis_entanglement_findings_match_per_vector_predicate(registry,
 
 
 def test_cli_basis_checks_the_basis_in_one_pass(ep, tmp_path, capsys, monkeypatch):
-    calls = {"sector_basis": 0, "_deviations": 0}
+    calls = {"sector_basis": 0, "coordinate_matrix": 0}
 
     def counted(name):
         original = getattr(builder_module, name)
@@ -444,44 +446,85 @@ def test_cli_basis_checks_the_basis_in_one_pass(ep, tmp_path, capsys, monkeypatc
         monkeypatch.setattr(builder_module, name, wrapper)
 
     counted("sector_basis")
-    counted("_deviations")
+    counted("coordinate_matrix")
     save_registry(ep, str(tmp_path / "ep.json"))
     code = main(["basis", "--registry", str(tmp_path / "ep.json"), "--registers", "4",
                  "--charge", "0", "--out", str(tmp_path / "out")])
     capsys.readouterr()
     assert code == 0
-    assert calls == {"sector_basis": 2, "_deviations": 1}  # build, then one check
+    assert calls == {"sector_basis": 2, "coordinate_matrix": 1}  # build, then one check
 
 
-@pytest.mark.parametrize("how", ["intact", "scaled", "missing", "outside"])
-def test_metrics_match_a_recomputed_gram_and_projector(ep, how):
-    basis = build_packaged_entangled_basis(ep, 4, (0,))
+def _dense_deviation_findings(mat, d):
+    """The norm, orthogonality and span findings from the dense formulas: the
+    Gram matrix minus I_k, and the d x d span projector VV^H minus I_d."""
+    k = mat.shape[1]
+    gram_dev = mat.conj().T @ mat - np.eye(k)
+    norm_dev = float(np.max(np.abs(np.diag(gram_dev)))) if k else 0.0
+    cross_dev = float(np.max(np.abs(gram_dev - np.diag(np.diag(gram_dev))))) if k else 0.0
+    span_dev = float(np.linalg.norm(mat @ mat.conj().T - np.eye(d)))
+    findings = []
+    if norm_dev > ORTHO_TOL:
+        findings.append(f"norm deviation {norm_dev:.3e} exceeds {ORTHO_TOL}")
+    if cross_dev > ORTHO_TOL:
+        findings.append(f"orthogonality deviation {cross_dev:.3e} exceeds {ORTHO_TOL}")
+    if span_dev > SPAN_TOL:
+        findings.append(
+            f"span projector deviates from sector projector by {span_dev:.3e} (Frobenius)"
+        )
+    return findings, span_dev
+
+
+@pytest.mark.parametrize("registry, n, sector, how", [
+    (electron_positron_registry(1), 4, (0,), "intact"),
+    (electron_positron_registry(1), 4, (0,), "scaled"),
+    (electron_positron_registry(1), 4, (0,), "missing"),
+    (electron_positron_registry(1), 4, (0,), "outside"),
+    (electron_positron_registry(1), 4, (0,), "duplicated"),
+    (electron_positron_registry(1), 4, (0,), "empty"),
+    (electron_positron_registry(2), 3, (1,), "intact"),
+    (electron_positron_registry(1), 5, (1,), "mixed"),
+], ids=["intact", "scaled", "missing", "outside", "duplicated", "empty", "ep-spin2-n3", "ep-n5-mixed"])
+def test_metrics_match_a_recomputed_gram_and_projector(registry, n, sector, how):
+    basis = build_packaged_entangled_basis(registry, n, sector)
     if how == "scaled":
         basis.vectors[2] = superpose([(1.01, basis.vectors[2])])
     elif how == "missing":
         basis.vectors.pop(1)
     elif how == "outside":
-        basis.vectors[0] = StateVector({sector_basis(ep, 4, (2,))[0]: 1.0})
-    findings, metrics = check_basis(basis, ep)
+        basis.vectors[0] = StateVector({sector_basis(registry, n, (2,))[0]: 1.0})
+    elif how == "duplicated":
+        basis.vectors.append(basis.vectors[3])
+    elif how == "empty":
+        basis.vectors.clear()
+    elif how == "mixed":
+        assert any(entry["repairs"] for entry in basis.diagnostics)
+    findings, metrics = check_basis(basis, registry)
     if how == "outside":
         assert metrics is None and findings[-1].startswith("vectors are not expressible")
         return
-    product_basis = sector_basis(ep, 4, (0,))
-    mat = np.column_stack([coordinates(v, product_basis) for v in basis.vectors])
-    gram = mat.conj().T @ mat
-    projector = mat @ mat.conj().T
-    d = len(product_basis)
+    product_basis = sector_basis(registry, n, sector)
+    d, k = len(product_basis), basis.dimension
+    mat = np.zeros((d, k), dtype=complex)
+    for j, vec in enumerate(basis.vectors):
+        mat[:, j] = coordinates(vec, product_basis)
+    want_findings, want_span = _dense_deviation_findings(mat, d)
+    if k != d:
+        want_findings.insert(0, f"vector count {k} != sector dimension {d}")
+    if k <= d:
+        assert findings == want_findings + _reference_entanglement_findings(basis, registry)
+    else:  # both flag the count and the duplicate pair
+        assert findings[:2] == want_findings[:2]
     assert metrics["dimension"] == d
-    want_gram = np.max(np.abs(gram - np.eye(basis.dimension)))
+    want_gram = np.max(np.abs(mat.conj().T @ mat - np.eye(k)), initial=0.0)
     assert metrics["max_gram_deviation"] == pytest.approx(want_gram, abs=1e-12)
-    if how == "missing":
-        assert metrics["span_frobenius_deviation"] is None
-    else:
-        want_span = np.linalg.norm(projector - np.eye(d))
+    if k == d:
         assert metrics["span_frobenius_deviation"] == pytest.approx(want_span, abs=1e-12)
+    else:
+        assert metrics["span_frobenius_deviation"] is None
     if how == "scaled":
         assert want_gram == pytest.approx(1.01**2 - 1, abs=1e-9)
-    assert metrics["entangled_count"] == basis.dimension
+    assert metrics["entangled_count"] == k
     assert (metrics["degenerate"], metrics["separable_indices"]) == (False, [])
 
 

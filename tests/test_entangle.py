@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -1189,6 +1190,26 @@ def test_entries_are_a_read_only_copy(bell_plus):
     marginal = internal_charge_marginal(electron_positron_registry(1), bell_plus, CUT01)
     with pytest.raises(ValueError):
         marginal.entries[0, 0] = 1.0
+
+
+def test_density_matrix_keeps_its_pattern_at_8_bytes_per_nonzero():
+    # a dense rank-one matrix at D = 2**10: every entry is nonzero
+    alphabets = [(0, 1)] * 10
+    psi = np.exp(1j * np.arange(2**10)) / 2**5
+    entries = np.outer(psi, psi.conj())
+    DensityMatrix(np.eye(2) / 2, [(0, 1)])  # so modules numpy imports on first use are not counted
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        rho = DensityMatrix(entries, alphabets)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    nonzero = np.count_nonzero(rho.entries)
+    assert nonzero == 2**20
+    # the label list and the object's own attributes are kept too
+    labels = sys.getsizeof(rho.basis_labels) + sum(sys.getsizeof(t) for t in rho.basis_labels)
+    assert kept <= rho.entries.nbytes + 8 * nonzero + labels + 2**12
 
 
 def test_density_matrix_checks_its_shape_before_listing_labels(monkeypatch):
