@@ -13,6 +13,8 @@ import io
 import json
 import os
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
+from math import isfinite
 
 from .errors import ConfigurationError, UnknownSpeciesError
 
@@ -257,7 +259,84 @@ def validate_registry(registry: SpeciesRegistry) -> list[str]:
 
 
 def save_registry(registry: SpeciesRegistry, path: str) -> None:
-    _write_text(path, json.dumps(registry.to_dict(), indent=2, sort_keys=True) + "\n")
+    """Write ``json_text(registry.to_dict(), sort_keys=True)`` plus a newline;
+    a registry json refuses leaves no file, as the text is made first."""
+    _write_text(path, json_text(registry.to_dict(), sort_keys=True) + "\n")
+
+
+def json_text(value, sort_keys: bool = False) -> str:
+    """``json.dumps(value, indent=2, sort_keys=sort_keys, allow_nan=False)``,
+    written in one recursive pass that knows no schema.
+
+    Strings go through ``encode_basestring_ascii``, ints through
+    ``int.__repr__`` and finite floats through ``float.__repr__``, as json's
+    own encoder writes them; bools, ``None``, lists, tuples and dicts with
+    ``str`` keys are written directly. Anything else (a non-finite float, a
+    non-``str`` key, a type json does not know, a container nested in itself)
+    raises inside and sends the whole value to ``json.dumps``, so the text, or
+    the error, is the one it gives.
+    """
+    parts: list[str] = []
+    try:
+        _json_parts(value, "\n", sort_keys, parts)
+    except (TypeError, RecursionError):
+        return json.dumps(value, indent=2, sort_keys=sort_keys, allow_nan=False)
+    return "".join(parts)
+
+
+def _json_parts(value, newline: str, sort_keys: bool, parts: list[str]) -> None:
+    """Append the text of ``value`` to ``parts``; ``newline`` is a line break
+    followed by the indent of the line ``value`` starts on."""
+    if isinstance(value, dict):  # a key that is not a str raises TypeError, here or below
+        items, brackets = sorted(value.items()) if sort_keys else value.items(), "{}"
+    elif isinstance(value, (list, tuple)):
+        items, brackets = value, "[]"
+    else:
+        parts.append(_json_scalar(value))
+        return
+    if not items:
+        parts.append(brackets)
+        return
+    keyed = brackets == "{}"
+    inner = newline + "  "
+    sep = brackets[0] + inner
+    for item in items:
+        if keyed:
+            key, item = item
+            head = sep + encode_basestring_ascii(key) + ": "
+        else:
+            head = sep
+        sep = "," + inner
+        kind = type(item)  # the common exact types inline, the rest by isinstance
+        if kind is float and isfinite(item):
+            parts.append(head + float.__repr__(item))
+        elif kind is str:
+            parts.append(head + encode_basestring_ascii(item))
+        elif kind is int:
+            parts.append(head + int.__repr__(item))
+        elif kind is bool:
+            parts.append(head + ("true" if item else "false"))
+        else:
+            parts.append(head)
+            _json_parts(item, inner, sort_keys, parts)
+    parts.append(newline + brackets[1])
+
+
+def _json_scalar(value) -> str:
+    """The text of a value that is not a list, tuple or dict."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float) and isfinite(value):
+        return float.__repr__(value)
+    raise TypeError("left to json.dumps")
 
 
 def _write_text(path: str, text: str) -> None:

@@ -5,16 +5,15 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
-import json
+import json  # not called here: bench/tracer.py patches cli.json on --trace 1 runs
 import math
 import os
 import sys
 import time
-from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .builder import build_packaged_entangled_basis, check_basis
-from .charges import _write_text, registry_from_bytes
+from .charges import _write_text, json_text, registry_from_bytes
 from .entangle import (
     Bipartition,
     _cut_members,
@@ -214,7 +213,7 @@ def _run_basis(args) -> tuple[int, dict]:
         _write_text(path, _state_text(vec, heads))
         files.append(path)
     diag_path = os.path.join(args.out, "diagnostics.json")
-    _write_text(diag_path, _diagnostics_text(basis.diagnostics))
+    _write_text(diag_path, json_text(basis.diagnostics) + "\n")
     findings, metrics = check_basis(basis, registry)
     results = {
         "sector": str(basis.sector),
@@ -364,97 +363,6 @@ def _render_value(key, value, indent) -> list[str]:
     return [f"{pad}{key}: {value}"]
 
 
-def _report_json(report: dict) -> str:
-    """``json.dumps(report, indent=2, sort_keys=True, allow_nan=False)``, with
-    an ``entangle`` report's per-cut rows and ``cut_ranks`` maps formatted in bulk.
-
-    Their schema is fixed, so their text is the one json's own encoder emits:
-    strings through ``encode_basestring_ascii``, ints through ``int.__repr__``
-    and floats through ``float.__repr__``. The rest of the report is one
-    ``json.dumps`` with ``{}`` in their place; it escapes every newline inside
-    a string, so each placeholder is found at its depth, in sorted key order.
-    A non-finite float anywhere sends the whole report to ``json.dumps``, so
-    the ValueError is the one it raises.
-    """
-    results = report["results"]
-    if results.keys() != {"cuts", "packaged_entangled", "entangled_somewhere"}:
-        return json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
-    # one per-cut row, nested as the report nests it
-    template = (
-        '\n      {\n        "cut": %s,\n        "entropy_nats": %s,\n        "rank": %s,'
-        '\n        "singular_values": %s\n      }'
-    )
-    rows = []
-    for row in results["cuts"]:
-        values = ",\n          ".join(map(float.__repr__, row["singular_values"]))
-        entropy = float.__repr__(row["entropy_nats"])
-        if "n" in values or "n" in entropy:  # inf, -inf or nan
-            return json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
-        rows.append(template % (
-            encode_basestring_ascii(row["cut"]),
-            entropy,
-            int.__repr__(row["rank"]),
-            "[\n          " + values + "\n        ]" if values else "[]",
-        ))
-    texts = ["[" + ",".join(rows) + "\n    ]" if rows else "[]"]
-    for key in ("entangled_somewhere", "packaged_entangled"):  # in the order json.dumps sorts them
-        ranks = sorted(results[key]["cut_ranks"].items())
-        texts.append("{" + ",".join(
-            "\n        " + encode_basestring_ascii(cut) + ": " + int.__repr__(rank) for cut, rank in ranks
-        ) + "\n      }" if ranks else "{}")
-    blank = {key: {**verdict, "cut_ranks": {}} for key, verdict in results.items() if key != "cuts"}
-    rest = json.dumps({**report, "results": {**blank, "cuts": {}}}, indent=2, sort_keys=True, allow_nan=False)
-    parts = []
-    for placeholder in ('\n    "cuts": {}', '\n      "cut_ranks": {}', '\n      "cut_ranks": {}'):
-        head, _, rest = rest.partition(placeholder)
-        parts.append(head + placeholder[:-2])
-    return "".join(part + text for part, text in zip(parts, texts)) + rest
-
-
-def _json_bool(value: bool) -> str:
-    return "true" if value else "false"
-
-
-def _diagnostics_text(diagnostics: list[dict]) -> str:
-    """``json.dumps(diagnostics, indent=2) + "\\n"`` for the builder's
-    diagnostics, formatted in bulk.
-
-    Their schema is fixed (ints, a seed-kind string, bools and lists of
-    ints), so their text is the one json's own encoder emits. The builder
-    gives every column of a Haar mix the same ``columns`` list, so each mix
-    record is formatted once, keyed by that list, its attempt and its verdict,
-    and reused for every column of its group.
-    """
-    record_template = (
-        '\n      {\n        "attempt": %s,\n        "columns": %s,\n        "accepted": %s\n      }'
-    )
-    records: dict[tuple[int, int, bool], str] = {}
-    entries = []
-    for entry in diagnostics:
-        repairs = []
-        for record in entry["repairs"]:
-            columns = record["columns"]
-            key = (id(columns), record["attempt"], record["accepted"])
-            text = records.get(key)
-            if text is None:
-                listed = ",\n          ".join(map(int.__repr__, columns))
-                text = records[key] = record_template % (
-                    int.__repr__(record["attempt"]),
-                    "[\n          " + listed + "\n        ]" if listed else "[]",
-                    _json_bool(record["accepted"]),
-                )
-            repairs.append(text)
-        entries.append(
-            '\n  {\n    "index": %s,\n    "seed": %s,\n    "entangled": %s,\n    "repairs": %s\n  }' % (
-                int.__repr__(entry["index"]),
-                encode_basestring_ascii(entry["seed"]),
-                _json_bool(entry["entangled"]),
-                "[" + ",".join(repairs) + "\n    ]" if repairs else "[]",
-            )
-        )
-    return "[" + ",".join(entries) + "\n]\n" if entries else "[]\n"
-
-
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = _build_parser()
@@ -477,7 +385,7 @@ def main(argv=None) -> int:
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
     }
     if args.json:
-        print(_report_json(report))
+        print(json_text(report, sort_keys=True))
     else:
         sys.stdout.write(_render_text(report, code))
     return code

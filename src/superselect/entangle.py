@@ -516,9 +516,11 @@ def every_cut_entangled(plan: CutPlan, columns: np.ndarray) -> list[bool]:
     verdict = np.zeros(columns.shape[1], dtype=bool)
     if not len(member):  # n < 2: no cut
         return verdict.tolist()
-    count = np.count_nonzero(columns, axis=0)
+    ks, rows = np.nonzero(columns.T)  # column-major, so each column's rows are adjacent
+    count = np.bincount(ks, minlength=columns.shape[1])
     two = np.flatnonzero(count == 2)
-    p, q = np.nonzero(columns[:, two].T)[1].reshape(-1, 2).T
+    p, q = rows[count[ks] == 2].reshape(-1, 2).T
+    del ks, rows  # 16 B per nonzero entry, not kept while cuts are ranked
     small, large = np.sort(np.abs([columns[p, two], columns[q, two]]), axis=0)
     apart = np.all(plan.codes[p] != plan.codes[q], axis=1)
     verdict[two] = apart & (small > RANK_REL_TOL * _TIER_MARGIN * large)

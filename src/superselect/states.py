@@ -466,6 +466,9 @@ def _term_head(state: BasisState) -> str:
 def _state_text(vec: StateVector, heads: dict[BasisState, str]) -> str:
     """``json.dumps(state_to_dict(vec), indent=2) + "\\n"``, formatted in one pass.
 
+    State files are the one JSON not written by ``charges.json_text``: this
+    writer runs the loader's checks, and on a basis's files it is 3x faster.
+
     The schema is fixed, so this is the text json's own encoder emits: species
     ids through ``encode_basestring_ascii``, integers through ``int.__repr__``
     and amplitude parts through ``float.__repr__`` (the shortest round-trip

@@ -1,8 +1,11 @@
-"""Charge algebra, species registry, and conjugation."""
+"""Charge algebra, species registry, conjugation, and the JSON writer."""
 
 import json
+import math
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from superselect.charges import (
     ChargeComponentSpec,
@@ -11,6 +14,7 @@ from superselect.charges import (
     SpeciesRegistry,
     add_charges,
     conjugate_species,
+    json_text,
     load_registry,
     save_registry,
     validate_registry,
@@ -215,6 +219,100 @@ def test_every_builtin_registry_loads(tmp_path):
         path = tmp_path / f"reg{k}.json"
         save_registry(reg, str(path))
         assert load_registry(str(path)).to_dict() == reg.to_dict()
+        assert path.read_bytes() == (json.dumps(reg.to_dict(), indent=2, sort_keys=True) + "\n").encode()
+
+
+def test_a_registry_with_a_non_finite_field_is_refused_before_the_file_is_opened(tmp_path):
+    # the registry is permissive on construction; json.dumps wrote this field as Infinity
+    reg = SpeciesRegistry([ChargeComponentSpec("q", "gauged")], [Species("x", ChargeVector((0,)), math.inf, "x")])
+    path = tmp_path / "reg.json"
+    with pytest.raises(ValueError, match="^Out of range float values are not JSON compliant"):
+        save_registry(reg, str(path))
+    assert not path.exists()
+
+
+# -- json_text: the bytes of json.dumps(value, indent=2, allow_nan=False) ------
+
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(2**63 - 2, 2**70) | st.integers(-(2**70), -(2**63)),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e308, 1.7976931348623157e308, 0.1, 1e16]),
+    st.text(max_size=8),  # quotes, backslashes, control and non-ASCII characters included
+    st.sampled_from(['"\\/\b\f\n\r\t\x00\x1f\x7f', "\u2028\u2029", "\U0001f600\U0010ffff", "\u00e9\ud7ff\ud800", ""]),
+)
+
+
+def _trees(leaves, keys):
+    return st.recursive(
+        leaves,
+        lambda kids: st.one_of(
+            st.lists(kids, max_size=4),
+            st.lists(kids, max_size=4).map(tuple),
+            st.dictionaries(keys, kids, max_size=4),
+        ),
+        max_leaves=24,
+    )
+
+
+_KEYS = st.text(max_size=6)
+# what json.dumps refuses, or writes by rules of its own: non-finite floats,
+# numpy scalars (np.float64 is a float, the others are not), non-str keys
+_ODD_LEAVES = st.sampled_from([
+    math.nan, math.inf, -math.inf, np.float64(0.1), np.float64(-0.0), np.float64(math.nan),
+    np.float32(0.5), np.int64(3), np.bool_(True),
+])
+_ODD_KEYS = st.sampled_from([1, -2, 0.5, math.nan, True, None, (1, 2)])
+# the builder's diagnostics with a key it does not write today, on an entry and on a repair
+_DIAGNOSTICS_EXTRA = [
+    {"index": 0, "seed": "pair", "entangled": True, "repairs": [], "seed_pair": [0, 5]},
+    {"index": 1, "seed": "mix", "entangled": True,
+     "repairs": [{"attempt": 0, "columns": [1, 2], "accepted": True, "spectrum": [0.5, -0.0]}]},
+]
+
+
+def _outcome(write, value, sort_keys):
+    try:
+        return write(value, sort_keys)
+    except Exception as exc:  # the type and message must match json.dumps's
+        return type(exc), str(exc)
+
+
+def _dumps(value, sort_keys):
+    return json.dumps(value, indent=2, sort_keys=sort_keys, allow_nan=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_trees(_SCALARS, _KEYS), st.booleans())
+@example([], False)
+@example({}, True)
+@example(((), {}, [[]], {"": {}}), True)
+@example({"b": [1, -0.0], "a": ("\u2028", 2**64, 5e-324, 1e308)}, True)
+@example(_DIAGNOSTICS_EXTRA, False)
+def test_json_text_is_json_dumps(value, sort_keys):
+    assert json_text(value, sort_keys) == _dumps(value, sort_keys)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_trees(_SCALARS | _ODD_LEAVES, _KEYS | _ODD_KEYS), st.booleans())
+@example([{"a": [0.5, math.nan]}], False)
+@example({"a": {"b": [-math.inf]}}, True)
+@example([1, np.int64(3)], False)
+@example({"a": 1, 2: 3}, True)  # keys json cannot sort
+@example({1: "a", 0.5: "b", None: "c", True: "d"}, False)
+@example([10**5000], False)  # past int's default digit limit for str
+def test_json_text_gives_what_json_dumps_gives_on_odd_values(value, sort_keys):
+    assert _outcome(json_text, value, sort_keys) == _outcome(_dumps, value, sort_keys)
+
+
+def test_json_text_refuses_a_container_nested_in_itself():
+    loop = [1]
+    loop.append({"a": loop})
+    assert _outcome(json_text, loop, False) == _outcome(_dumps, loop, False) == (
+        ValueError, "Circular reference detected"
+    )
 
 
 def test_a_charge_spec_without_a_unit_loads_with_an_empty_unit():

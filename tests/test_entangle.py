@@ -571,6 +571,30 @@ def test_every_cut_check_keeps_no_per_cut_state(monkeypatch):
     assert retained < 2**19
 
 
+def test_two_term_columns_are_read_without_a_copy():
+    # e± n=12 sector 0, every column two-term as the builder's seeds are: the
+    # tier reads each column's two rows in place, so the traced peak is index
+    # and code arrays of d x n entries, not a copy of the d x d complex input
+    basis = sector_basis(electron_positron_registry(1), 12, SectorIndex((0,)))
+    d = len(basis)
+    columns = np.zeros((d, d), dtype=complex)
+    for k in range(d // 2):  # mirror pairs, which differ at every register
+        columns[[k, d - 1 - k], 2 * k] = 1.0, 1.0
+        columns[[k, d - 1 - k], 2 * k + 1] = 1.0, -1.0
+    plan = CutPlan(basis, 12)
+    assert np.all(plan.codes[: d // 2] != plan.codes[: d // 2 - 1 : -1])
+    every_cut_entangled(plan, columns[:, :2])  # so modules numpy imports on first use are not counted
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        verdicts = every_cut_entangled(plan, columns)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert verdicts == [True] * d
+    assert peak <= columns.nbytes // 32
+
+
 def test_every_cut_check_ranks_no_block_after_the_last_column_fails(monkeypatch):
     # one cut per block; every column pairs two states that differ at every
     # register with a ratio of 1e-10, inside the band left to the SVD, which
